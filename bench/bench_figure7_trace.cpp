@@ -64,8 +64,10 @@ int main() {
 
   printGrid("input image (c0):", Img, T);
 
-  auto Trace = Exec.runWithTrace(P, {Exec.encryptInput(Img)},
-                                 ImageGeom::Slots);
+  std::vector<std::vector<uint64_t>> Trace;
+  Exec.run(P, {Exec.encryptInput(Img)}, [&](const Ciphertext &Ct) {
+    Trace.push_back(Exec.decryptOutput(Ct, ImageGeom::Slots));
+  });
   for (size_t K = 0; K < P.Instructions.size(); ++K) {
     const Instr &I = P.Instructions[K];
     char Label[128];

@@ -53,7 +53,11 @@ public:
     Cts.reserve(Inputs.size());
     for (const Value &V : Inputs)
       Cts.push_back(V.get<Ciphertext>());
-    return Exec->runWithTrace(P, Cts, TraceWidth);
+    std::vector<std::vector<uint64_t>> Trace;
+    Exec->run(P, Cts, [&](const Ciphertext &Ct) {
+      Trace.push_back(Exec->decryptOutput(Ct, TraceWidth));
+    });
+    return Trace;
   }
 
   size_t slotCount() const override { return Ctx->slotCount(); }

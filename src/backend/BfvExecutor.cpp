@@ -8,23 +8,24 @@
 
 #include "support/Error.h"
 
-#include <algorithm>
 #include <cassert>
+#include <optional>
 
 using namespace porcupine;
 using namespace porcupine::quill;
 
 BfvExecutor::BfvExecutor(const BfvContext &Ctx, Rng &R,
                          const std::vector<const Program *> &Programs)
-    : Ctx(Ctx), Keygen(Ctx, R), Pk(Keygen.createPublicKey()), Eval(Ctx),
-      Enc(Ctx, Pk, R), Dec(Ctx, Keygen.secretKey()),
-      Relin(Keygen.createRelinKeys()) {
+    : Ctx(Ctx), Keygen(Ctx, R), Eval(Ctx),
+      Enc(Ctx, Keygen.createPublicKey(), R), Dec(Ctx, Keygen.secretKey()),
+      Relin(Keygen.createRelinKeys(Gadget)) {
   for (const Program *P : Programs) {
     (void)P; // Only read by the assert.
     assert(P->VectorSize <= Ctx.slotCount() &&
            "kernel wider than a batching row");
   }
-  Galois = Keygen.createGaloisKeys(requiredRotations(Programs));
+  Galois = Keygen.createGaloisKeys(requiredRotations(Programs),
+                                   /*IncludeColumnSwap=*/false, Gadget);
 }
 
 Ciphertext
@@ -68,26 +69,53 @@ Ciphertext BfvExecutor::execInstr(const Instr &I, bool ExplicitRelin,
     return Eval.subPlain(A, Consts[I.PtIdx]);
   case Opcode::MulCtPt:
     return Eval.multiplyPlain(A, Consts[I.PtIdx]);
-  case Opcode::RotCt:
-    return Eval.rotateRows(A, I.Rot, Galois);
   case Opcode::Relin:
     return Eval.relinearize(A, Relin);
+  case Opcode::RotCt:
+    break; // run() owns rotations and their hoisted state.
   }
   PORC_UNREACHABLE("unhandled opcode");
 }
 
 Ciphertext BfvExecutor::run(const Program &P,
-                            const std::vector<Ciphertext> &Inputs) const {
+                            const std::vector<Ciphertext> &Inputs,
+                            const InstrHook &AfterInstr) const {
   assert(static_cast<int>(Inputs.size()) == P.NumInputs && "input count");
   std::vector<Plaintext> Consts;
   Consts.reserve(P.Constants.size());
   for (const PlainConstant &C : P.Constants)
     Consts.push_back(encodeConstant(C));
 
+  // Halevi-Shoup hoisting: decompose each rotated value once, at its first
+  // rotation, and free the state after its last. Galois element 1 is the
+  // identity and never touches the state.
+  auto EltOf = [&](const Instr &I) {
+    return Eval.encoder().galoisEltForRotation(I.Rot);
+  };
+  std::vector<int> RotationsLeft(P.numValues(), 0);
+  for (const Instr &I : P.Instructions)
+    if (I.Op == Opcode::RotCt && EltOf(I) != 1)
+      ++RotationsLeft[I.Src0];
+  std::vector<std::optional<HoistedCiphertext>> Hoisted(P.numValues());
+
   std::vector<Ciphertext> Values = Inputs;
   Values.reserve(P.numValues());
-  for (const Instr &I : P.Instructions)
-    Values.push_back(execInstr(I, P.ExplicitRelin, Values, Consts));
+  for (const Instr &I : P.Instructions) {
+    if (I.Op != Opcode::RotCt) {
+      Values.push_back(execInstr(I, P.ExplicitRelin, Values, Consts));
+    } else if (uint64_t Elt = EltOf(I); Elt == 1) {
+      Values.push_back(Values[I.Src0]);
+    } else {
+      std::optional<HoistedCiphertext> &H = Hoisted[I.Src0];
+      if (!H)
+        H = Eval.hoist(Values[I.Src0], Gadget);
+      Values.push_back(Eval.applyGalois(*H, Elt, Galois));
+      if (--RotationsLeft[I.Src0] == 0)
+        H.reset();
+    }
+    if (AfterInstr)
+      AfterInstr(Values.back());
+  }
   return Values[P.outputId()];
 }
 
@@ -102,20 +130,3 @@ double BfvExecutor::noiseBudget(const Ciphertext &Ct) const {
   return Dec.invariantNoiseBudget(Ct);
 }
 
-std::vector<std::vector<uint64_t>>
-BfvExecutor::runWithTrace(const Program &P,
-                          const std::vector<Ciphertext> &Inputs,
-                          size_t TraceWidth) const {
-  assert(static_cast<int>(Inputs.size()) == P.NumInputs && "input count");
-  std::vector<Plaintext> Consts;
-  for (const PlainConstant &C : P.Constants)
-    Consts.push_back(encodeConstant(C));
-
-  std::vector<Ciphertext> Values = Inputs;
-  std::vector<std::vector<uint64_t>> Trace;
-  for (const Instr &I : P.Instructions) {
-    Values.push_back(execInstr(I, P.ExplicitRelin, Values, Consts));
-    Trace.push_back(decryptOutput(Values.back(), TraceWidth));
-  }
-  return Trace;
-}

@@ -29,6 +29,7 @@
 #include "quill/Interpreter.h"
 #include "quill/Program.h"
 
+#include <functional>
 #include <vector>
 
 namespace porcupine {
@@ -45,9 +46,16 @@ public:
   /// ciphertext, placing the data in batching row 0.
   Ciphertext encryptInput(const std::vector<uint64_t> &Values) const;
 
-  /// Runs \p P over encrypted inputs, returning the encrypted result.
+  /// Called after each instruction with the value it produced; the
+  /// Figure 7 style traces decrypt it.
+  using InstrHook = std::function<void(const Ciphertext &)>;
+
+  /// Runs \p P over encrypted inputs, returning the encrypted result. Every
+  /// value rotated by a non-identity Galois element is hoisted once and
+  /// shared by all of its rotations; the state is freed after its last.
   Ciphertext run(const quill::Program &P,
-                 const std::vector<Ciphertext> &Inputs) const;
+                 const std::vector<Ciphertext> &Inputs,
+                 const InstrHook &AfterInstr = nullptr) const;
 
   /// Decrypts a result and returns the first \p Width slots.
   std::vector<uint64_t> decryptOutput(const Ciphertext &Ct,
@@ -56,22 +64,17 @@ public:
   /// Remaining invariant noise budget of a ciphertext, in bits.
   double noiseBudget(const Ciphertext &Ct) const;
 
-  /// Runs \p P and records the decrypted slot state after every
-  /// instruction (first \p TraceWidth slots); index k holds the state of
-  /// value NumInputs+k. Used for the paper's Figure 7 style traces.
-  std::vector<std::vector<uint64_t>>
-  runWithTrace(const quill::Program &P, const std::vector<Ciphertext> &Inputs,
-               size_t TraceWidth) const;
-
   const BfvContext &context() const { return Ctx; }
   const Evaluator &evaluator() const { return Eval; }
   const GaloisKeys &galoisKeys() const { return Galois; }
   const RelinKeys &relinKeys() const { return Relin; }
 
 private:
+  /// The key-switching gadget of every key this executor generates.
+  static constexpr GadgetKind Gadget = GadgetKind::RnsPerPrime;
+
   const BfvContext &Ctx;
   KeyGenerator Keygen;
-  PublicKey Pk;
   Evaluator Eval;
   Encryptor Enc;
   Decryptor Dec;

@@ -76,8 +76,10 @@ BfvContext::BfvContext(const BfvParams &Params)
   BigInt Rem;
   BigInt TBig = BigInt::fromU64(T);
   CoeffBasis.modulus().divMod(TBig, Delta, Rem);
-  for (uint64_t P : CoeffBasis.primes())
+  for (uint64_t P : CoeffBasis.primes()) {
     DeltaModPrimes.push_back(Delta.modWord(P));
+    DeltaModPrimesShoup.push_back(shoupPrecompute(DeltaModPrimes.back(), P));
+  }
 
   unsigned QBits = CoeffBasis.modulus().bitLength();
   Digits = (QBits + Width - 1) / Width;

@@ -81,9 +81,12 @@ public:
 
   /// floor(Q / t), the plaintext scaling factor Delta.
   const BigInt &delta() const { return Delta; }
-  /// Delta mod q_i for each coefficient prime.
+  /// Delta mod q_i for each coefficient prime, with Shoup pairs.
   const std::vector<uint64_t> &deltaModPrimes() const {
     return DeltaModPrimes;
+  }
+  const std::vector<uint64_t> &deltaModPrimesShoup() const {
+    return DeltaModPrimesShoup;
   }
 
   unsigned decompWidth() const { return Width; }
@@ -153,6 +156,7 @@ private:
   RnsBaseConverter CoeffToPlain;
   BigInt Delta;
   std::vector<uint64_t> DeltaModPrimes;
+  std::vector<uint64_t> DeltaModPrimesShoup;
   unsigned Width;
   unsigned Digits;
   std::vector<std::vector<uint64_t>> DigitScales;

@@ -12,17 +12,23 @@
 
 using namespace porcupine;
 
+Decryptor::Decryptor(const BfvContext &Ctx, SecretKey Sk, bool UseRnsPath)
+    : Ctx(Ctx), Sk(std::move(Sk)), UseRns(UseRnsPath) {
+  this->Sk.S.ensureNtt(Ctx);
+}
+
 RingPoly Decryptor::evaluateAtSecret(const Ciphertext &Ct) const {
   assert(Ct.size() >= 2 && "malformed ciphertext");
   // Horner evaluation: (((c_k * s) + c_{k-1}) * s + ...) + c_0.
   RingPoly Acc = Ct[Ct.size() - 1];
-  Acc.ensureCoeff(Ctx);
+  Acc.ensureNtt(Ctx);
   for (size_t I = Ct.size() - 1; I-- > 0;) {
-    Acc = RingPoly::multiply(Ctx, Acc, Sk.S);
+    Acc.mulAssignNtt(Ctx, Sk.S);
     RingPoly C = Ct[I];
-    C.ensureCoeff(Ctx);
+    C.ensureNtt(Ctx);
     Acc.addAssign(Ctx, C);
   }
+  Acc.fromNtt(Ctx);
   return Acc;
 }
 

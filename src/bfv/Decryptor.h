@@ -29,8 +29,7 @@ public:
   /// oracle. Both produce identical plaintexts on any decryptable
   /// ciphertext (the ciphertext modulus is odd, so the t/Q rounding has no
   /// ties for the paths to resolve differently).
-  Decryptor(const BfvContext &Ctx, SecretKey Sk, bool UseRnsPath = true)
-      : Ctx(Ctx), Sk(std::move(Sk)), UseRns(UseRnsPath) {}
+  Decryptor(const BfvContext &Ctx, SecretKey Sk, bool UseRnsPath = true);
 
   /// Decrypts \p Ct (any component count) to a plaintext.
   Plaintext decrypt(const Ciphertext &Ct) const;
@@ -42,11 +41,12 @@ public:
 
 private:
   const BfvContext &Ctx;
-  SecretKey Sk;
+  SecretKey Sk; // s in NTT form.
   bool UseRns;
 
-  /// Evaluates c(s) = c0 + c1*s + c2*s^2 + ... in R_Q, coefficient form.
-  /// Accepts components in either domain.
+  /// Evaluates c(s) = c0 + c1*s + c2*s^2 + ... in R_Q by Horner's rule in
+  /// NTT form, returning coefficient form. Accepts components in either
+  /// domain.
   RingPoly evaluateAtSecret(const Ciphertext &Ct) const;
 };
 

@@ -20,11 +20,11 @@
 
 namespace porcupine {
 
-/// Encrypts plaintexts under a public key.
+/// Encrypts plaintexts under a public key, held in NTT form so each
+/// encryption transforms only its fresh randomness u.
 class Encryptor {
 public:
-  Encryptor(const BfvContext &Ctx, PublicKey Pk, Rng &R)
-      : Ctx(Ctx), Pk(std::move(Pk)), R(R) {}
+  Encryptor(const BfvContext &Ctx, PublicKey Pk, Rng &R);
 
   /// Encrypts \p Plain into a fresh two-component ciphertext.
   Ciphertext encrypt(const Plaintext &Plain) const;
@@ -34,7 +34,7 @@ public:
 
 private:
   const BfvContext &Ctx;
-  PublicKey Pk;
+  PublicKey Pk; // Both components in NTT form.
   Rng &R;
 };
 

@@ -9,6 +9,7 @@
 #include "math/ModArith.h"
 #include "support/Error.h"
 
+#include <algorithm>
 #include <array>
 #include <cassert>
 
@@ -114,11 +115,12 @@ RingPoly Evaluator::deltaScaledPlain(const Plaintext &P) const {
   RingPoly Out = RingPoly::zero(Ctx);
   const auto &Primes = Ctx.coeffBasis().primes();
   const auto &DeltaMod = Ctx.deltaModPrimes();
+  const auto &DeltaShoup = Ctx.deltaModPrimesShoup();
   for (size_t I = 0; I < Primes.size(); ++I) {
     uint64_t Q = Primes[I];
     auto &Res = Out.residues(I);
     for (size_t J = 0; J < P.Coeffs.size(); ++J)
-      Res[J] = mulMod(P.Coeffs[J] % Q, DeltaMod[I], Q);
+      Res[J] = mulModShoup(P.Coeffs[J], DeltaMod[I], DeltaShoup[I], Q);
   }
   return Out;
 }
@@ -348,84 +350,99 @@ Ciphertext Evaluator::multiplyPlain(const Ciphertext &A,
   return Out;
 }
 
-std::pair<RingPoly, RingPoly>
-Evaluator::keySwitch(const RingPoly &P, const KeySwitchKey &Key) const {
-  assert(!Key.empty() && "missing key-switching key");
-  return Key.Kind == GadgetKind::RnsPerPrime ? keySwitchRns(P, Key)
-                                             : keySwitchBigInt(P, Key);
-}
-
-std::pair<RingPoly, RingPoly>
-Evaluator::keySwitchRns(const RingPoly &P, const KeySwitchKey &Key) const {
-  // Decompose the per-prime residues directly: gadget digit (i, shift)
-  // takes bits [shift, shift + w) of residue x_i. With the default width a
-  // whole residue is one digit, so this is the classic per-prime gadget
-  // digit_i = x mod q_i. A digit value can exceed a *smaller* prime q_l, so
-  // embedding into RNS form reduces through that prime's Barrett table
-  // (skipped on the common in-range path).
-  const auto &Gadget = Ctx.rnsGadget();
-  assert(Key.K0.size() == Gadget.size() &&
-         "key was generated for a different gadget");
-  size_t N = Ctx.polyDegree();
-  unsigned Width = Ctx.decompWidth();
-  uint64_t Mask = Width >= 64 ? ~uint64_t(0) : (uint64_t(1) << Width) - 1;
-
-  RingPoly Src = P;
-  Src.ensureCoeff(Ctx);
-  RingPoly Acc0 = RingPoly::zero(Ctx, /*InNttForm=*/true);
-  RingPoly Acc1 = RingPoly::zero(Ctx, /*InNttForm=*/true);
-
-  for (size_t D = 0; D < Gadget.size(); ++D) {
-    const auto &Digit = Gadget[D];
-    const auto &SrcRes = Src.residues(Digit.SourcePrime);
-    // Fill and transform one residue at a time: the forward NTT runs while
-    // the freshly written residue is still cache-hot, instead of
-    // materializing every residue and re-walking them all in toNtt().
-    RingPoly DigitPoly = RingPoly::zero(Ctx, /*InNttForm=*/true);
-    for (size_t I = 0; I < Ctx.coeffBasis().count(); ++I) {
-      auto &Res = DigitPoly.residues(I);
-      uint64_t Ql = Ctx.coeffBasis().primes()[I];
-      const BarrettReducer &Red = Ctx.coeffNtt()[I].reducer();
-      for (size_t J = 0; J < N; ++J) {
-        uint64_t V = (SrcRes[J] >> Digit.Shift) & Mask;
-        Res[J] = V < Ql ? V : Red.reduce(V);
-      }
-      Ctx.coeffNtt()[I].forwardTransform(Res);
+/// One NTT-form gadget digit whose coefficient j is DigitAt(j). A digit can
+/// exceed a smaller coefficient prime, so embedding reduces through that
+/// prime's Barrett table (skipped on the common in-range path). Each
+/// residue is filled and transformed while it is still cache-hot.
+template <typename DigitFn>
+static RingPoly nttDigit(const BfvContext &Ctx, DigitFn DigitAt) {
+  RingPoly Out = RingPoly::zero(Ctx, /*InNttForm=*/true);
+  for (size_t I = 0; I < Ctx.coeffBasis().count(); ++I) {
+    auto &Res = Out.residues(I);
+    uint64_t Q = Ctx.coeffBasis().primes()[I];
+    const BarrettReducer &Red = Ctx.coeffNtt()[I].reducer();
+    for (size_t J = 0; J < Res.size(); ++J) {
+      uint64_t V = DigitAt(J);
+      Res[J] = V < Q ? V : Red.reduce(V);
     }
-    Acc0.fmaNtt(Ctx, DigitPoly, Key.K0[D]);
-    Acc1.fmaNtt(Ctx, DigitPoly, Key.K1[D]);
+    Ctx.coeffNtt()[I].forwardTransform(Res);
   }
-  Acc0.fromNtt(Ctx);
-  Acc1.fromNtt(Ctx);
-  return {std::move(Acc0), std::move(Acc1)};
+  return Out;
 }
 
-std::pair<RingPoly, RingPoly>
-Evaluator::keySwitchBigInt(const RingPoly &P, const KeySwitchKey &Key) const {
-  unsigned Digits = Ctx.decompDigitCount();
-  unsigned Width = Ctx.decompWidth();
-  size_t N = Ctx.polyDegree();
-  assert(Key.K0.size() == Digits && "key was generated for a different gadget");
-
-  // Decompose P into base-2^w digit polynomials from the canonical lift.
+std::vector<RingPoly> Evaluator::decompose(const RingPoly &P,
+                                           GadgetKind Kind) const {
   RingPoly Src = P;
   Src.ensureCoeff(Ctx);
-  std::vector<BigInt> Lifted = Src.liftCanonical(Ctx);
-  RingPoly Acc0 = RingPoly::zero(Ctx, /*InNttForm=*/true);
-  RingPoly Acc1 = RingPoly::zero(Ctx, /*InNttForm=*/true);
-
-  std::vector<int64_t> DigitCoeffs(N);
-  for (unsigned D = 0; D < Digits; ++D) {
-    for (size_t J = 0; J < N; ++J)
-      DigitCoeffs[J] = static_cast<int64_t>(Lifted[J].digit(D, Width));
-    RingPoly DigitPoly = RingPoly::fromSignedCoeffs(Ctx, DigitCoeffs);
-    DigitPoly.toNtt(Ctx);
-    Acc0.fmaNtt(Ctx, DigitPoly, Key.K0[D]);
-    Acc1.fmaNtt(Ctx, DigitPoly, Key.K1[D]);
+  unsigned Width = Ctx.decompWidth();
+  std::vector<RingPoly> Digits;
+  if (Kind == GadgetKind::RnsPerPrime) {
+    // Digit (i, shift) takes bits [shift, shift + w) of residue x_i. With
+    // the default width a whole residue is one digit: the classic per-prime
+    // gadget digit_i = x mod q_i, with no wide integers.
+    uint64_t Mask = Width >= 64 ? ~uint64_t(0) : (uint64_t(1) << Width) - 1;
+    for (const auto &Digit : Ctx.rnsGadget()) {
+      const auto &SrcRes = Src.residues(Digit.SourcePrime);
+      Digits.push_back(nttDigit(Ctx, [&](size_t J) {
+        return (SrcRes[J] >> Digit.Shift) & Mask;
+      }));
+    }
+    return Digits;
   }
-  Acc0.fromNtt(Ctx);
-  Acc1.fromNtt(Ctx);
-  return {std::move(Acc0), std::move(Acc1)};
+  // Base-2^w digits of the canonical BigInt lift.
+  std::vector<BigInt> Lifted = Src.liftCanonical(Ctx);
+  std::vector<uint64_t> Values(Lifted.size());
+  for (unsigned D = 0; D < Ctx.decompDigitCount(); ++D) {
+    for (size_t J = 0; J < Lifted.size(); ++J)
+      Values[J] = Lifted[J].digit(D, Width);
+    Digits.push_back(nttDigit(Ctx, [&](size_t J) { return Values[J]; }));
+  }
+  return Digits;
+}
+
+void Evaluator::keySwitchAccumulate(const std::vector<RingPoly> &Digits,
+                                    const KeySwitchKey &Key,
+                                    const uint32_t *Perm, RingPoly &Acc0,
+                                    RingPoly &Acc1) const {
+  if (Key.K0.size() != Digits.size())
+    fatalError("key-switching key was generated for a different gadget");
+  assert(Acc0.isNtt() && Acc1.isNtt() && "accumulators must be in NTT form");
+  size_t N = Ctx.polyDegree();
+  size_t NumDigits = Digits.size();
+  std::vector<const uint64_t *> X(NumDigits), K0(NumDigits), K1(NumDigits);
+  for (size_t I = 0; I < Ctx.coeffBasis().count(); ++I) {
+    uint64_t Q = Ctx.coeffBasis().primes()[I];
+    const BarrettReducer &Red = Ctx.coeffNtt()[I].reducer();
+    for (size_t D = 0; D < NumDigits; ++D) {
+      assert(Digits[D].isNtt() && "digits must be in NTT form");
+      X[D] = Digits[D].residues(I).data();
+      K0[D] = Key.K0[D].residues(I).data();
+      K1[D] = Key.K1[D].residues(I).data();
+    }
+    // Lazy reduction: sum the digits' 128-bit products unreduced and reduce
+    // once per slot. A product is at most (Q-1)^2, which bounds how many
+    // can be summed without overflow (at least 16 for any Q < 2^62).
+    unsigned __int128 MaxProduct =
+        static_cast<unsigned __int128>(Q - 1) * (Q - 1);
+    size_t Chunk = static_cast<size_t>(std::min<unsigned __int128>(
+        ~static_cast<unsigned __int128>(0) / MaxProduct, NumDigits));
+    uint64_t *O0 = Acc0.residues(I).data();
+    uint64_t *O1 = Acc1.residues(I).data();
+    for (size_t First = 0; First < NumDigits; First += Chunk) {
+      size_t Last = std::min(First + Chunk, NumDigits);
+      for (size_t J = 0; J < N; ++J) {
+        size_t From = Perm ? Perm[J] : J;
+        unsigned __int128 S0 = 0, S1 = 0;
+        for (size_t D = First; D < Last; ++D) {
+          uint64_t V = X[D][From];
+          S0 += static_cast<unsigned __int128>(V) * K0[D][J];
+          S1 += static_cast<unsigned __int128>(V) * K1[D][J];
+        }
+        O0[J] = addMod(O0[J], Red.reduce(S0), Q);
+        O1[J] = addMod(O1[J], Red.reduce(S1), Q);
+      }
+    }
+  }
 }
 
 Ciphertext Evaluator::relinearize(const Ciphertext &A,
@@ -434,53 +451,76 @@ Ciphertext Evaluator::relinearize(const Ciphertext &A,
     return A;
   if (A.size() != 3)
     fatalError("relinearize expects a two- or three-component ciphertext");
-  auto [D0, D1] = keySwitch(A[2], Keys.Key);
+  std::vector<RingPoly> Digits = decompose(A[2], Keys.Key.Kind);
   Ciphertext Out;
-  Out.Components.push_back(A[0]);
-  Out.Components.push_back(A[1]);
-  Out[0].ensureCoeff(Ctx);
-  Out[1].ensureCoeff(Ctx);
+  Out.Components = {A[0], A[1]};
+  // The switched c2 * s^2 comes out in NTT form: accumulate it straight
+  // into NTT-form components, or transform it once for coefficient form.
+  if (isNttForm(A)) {
+    keySwitchAccumulate(Digits, Keys.Key, nullptr, Out[0], Out[1]);
+    return Out;
+  }
+  RingPoly D0 = RingPoly::zero(Ctx, /*InNttForm=*/true);
+  RingPoly D1 = RingPoly::zero(Ctx, /*InNttForm=*/true);
+  keySwitchAccumulate(Digits, Keys.Key, nullptr, D0, D1);
+  D0.fromNtt(Ctx);
+  D1.fromNtt(Ctx);
   Out[0].addAssign(Ctx, D0);
   Out[1].addAssign(Ctx, D1);
   return Out;
 }
 
-Ciphertext Evaluator::applyGalois(const Ciphertext &A, uint64_t Elt,
-                                  const KeySwitchKey &Key) const {
+HoistedCiphertext Evaluator::hoist(const Ciphertext &A,
+                                   GadgetKind Kind) const {
   if (A.size() != 2)
-    fatalError("applyGalois requires a two-component ciphertext; "
+    fatalError("rotation requires a two-component ciphertext; "
                "relinearize first");
-  if (Elt == 1)
-    return A;
-  RingPoly A0 = A[0], A1 = A[1];
-  A0.ensureCoeff(Ctx);
-  A1.ensureCoeff(Ctx);
-  RingPoly C0 = A0.applyGalois(Ctx, Elt);
-  RingPoly C1 = A1.applyGalois(Ctx, Elt);
-  // C0 + C1 * s(x^elt) decrypts the rotated message; switch the C1 part
-  // back to the base secret.
-  auto [D0, D1] = keySwitch(C1, Key);
-  C0.addAssign(Ctx, D0);
+  HoistedCiphertext H{A[0], decompose(A[1], Kind), Kind};
+  H.C0.ensureNtt(Ctx);
+  return H;
+}
+
+Ciphertext Evaluator::applyGalois(const HoistedCiphertext &H, uint64_t Elt,
+                                  const GaloisKeys &Keys) const {
+  if (!Keys.hasKey(Elt))
+    fatalError("missing Galois key for the requested rotation");
+  const GaloisKey &Key = Keys.key(Elt);
+  if (Key.Switch.Kind != H.Kind)
+    fatalError("hoisted ciphertext and Galois key use different gadgets");
+  // sigma(c0) + sigma(c1) * sigma(s) decrypts the rotated message. The
+  // automorphism only permutes and negates coefficients, so the permuted
+  // digits of c1 are a decomposition of sigma(c1) with the same norm, and
+  // the key switches sigma(s) back to s.
+  const uint32_t *Perm = Key.NttPermutation.data();
+  RingPoly C0 = RingPoly::zero(Ctx, /*InNttForm=*/true);
+  for (size_t I = 0; I < C0.primeCount(); ++I) {
+    const auto &In = H.C0.residues(I);
+    auto &Out = C0.residues(I);
+    for (size_t J = 0; J < Out.size(); ++J)
+      Out[J] = In[Perm[J]];
+  }
+  RingPoly C1 = RingPoly::zero(Ctx, /*InNttForm=*/true);
+  keySwitchAccumulate(H.Digits, Key.Switch, Perm, C0, C1);
   Ciphertext Out;
   Out.Components.push_back(std::move(C0));
-  Out.Components.push_back(std::move(D1));
+  Out.Components.push_back(std::move(C1));
   return Out;
 }
 
 Ciphertext Evaluator::rotateRows(const Ciphertext &A, int Steps,
                                  const GaloisKeys &Keys) const {
   uint64_t Elt = Encoder.galoisEltForRotation(Steps);
-  if (Elt == 1)
-    return A;
-  if (!Keys.hasKey(Elt))
-    fatalError("missing Galois key for the requested rotation step");
-  return applyGalois(A, Elt, Keys.key(Elt));
+  return Elt == 1 ? A : rotate(A, Elt, Keys);
 }
 
 Ciphertext Evaluator::rotateColumns(const Ciphertext &A,
                                     const GaloisKeys &Keys) const {
-  uint64_t Elt = Encoder.galoisEltForColumnSwap();
+  return rotate(A, Encoder.galoisEltForColumnSwap(), Keys);
+}
+
+Ciphertext Evaluator::rotate(const Ciphertext &A, uint64_t Elt,
+                             const GaloisKeys &Keys) const {
   if (!Keys.hasKey(Elt))
-    fatalError("missing Galois key for the column swap");
-  return applyGalois(A, Elt, Keys.key(Elt));
+    fatalError("missing Galois key for the requested rotation");
+  return applyGalois(hoist(A, Keys.key(Elt).Switch.Kind), Elt, Keys);
 }

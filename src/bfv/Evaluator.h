@@ -26,6 +26,18 @@
 
 namespace porcupine {
 
+/// A ciphertext prepared for rotation (Halevi-Shoup hoisting): c0 and the
+/// gadget digits of c1, all in NTT form. Decomposing c1 is the expensive
+/// half of a rotation; every Galois element then only permutes this state
+/// and takes an inner product with its key, so one hoisted ciphertext
+/// serves any number of rotations of the same value.
+struct HoistedCiphertext {
+  RingPoly C0;
+  std::vector<RingPoly> Digits;
+  /// The gadget the digits decompose over; must match the Galois keys'.
+  GadgetKind Kind = GadgetKind::RnsPerPrime;
+};
+
 /// Homomorphic operator suite. Stateless except for the context and a
 /// bounded cache of NTT-form plaintexts (so kernels that multiply by the
 /// same constants every call pay the plaintext NTT once).
@@ -39,9 +51,11 @@ namespace porcupine {
 /// Ciphertexts may be in either coefficient or NTT form (all components of
 /// one ciphertext always share a form). Operations that are cheap in
 /// evaluation form (add/sub, plaintext multiply) keep or move results
-/// toward NTT form so chains of them skip transforms; multiply, Galois
-/// rotation, and key switching normalize back to coefficient form at their
-/// boundaries.
+/// toward NTT form so chains of them skip transforms. Rotation is two
+/// steps: hoist() decomposes once, applyGalois() permutes the NTT-form
+/// state for one Galois element and returns its result in NTT form.
+/// Ciphertext multiply returns coefficient form; relinearize keeps its
+/// input's form.
 class Evaluator {
 public:
   explicit Evaluator(const BfvContext &Ctx, bool UseRnsHotPath = true)
@@ -72,20 +86,29 @@ public:
   /// Ciphertext * plaintext (no component growth, milder noise).
   Ciphertext multiplyPlain(const Ciphertext &A, const Plaintext &B) const;
 
-  /// Switches a three-component product back to two components.
+  /// Switches a three-component product back to two components, keeping
+  /// the input's form.
   Ciphertext relinearize(const Ciphertext &A, const RelinKeys &Keys) const;
 
   /// Rotates every batching row \p Steps slots to the left (negative =
-  /// right). Requires the matching Galois key.
+  /// right): hoist() followed by applyGalois(). Requires the matching
+  /// Galois key; the result is in NTT form unless the rotation is the
+  /// identity.
   Ciphertext rotateRows(const Ciphertext &A, int Steps,
                         const GaloisKeys &Keys) const;
 
   /// Swaps the two batching rows.
   Ciphertext rotateColumns(const Ciphertext &A, const GaloisKeys &Keys) const;
 
-  /// Applies the raw automorphism x -> x^Elt with key switching.
-  Ciphertext applyGalois(const Ciphertext &A, uint64_t Elt,
-                         const KeySwitchKey &Key) const;
+  /// Rotation step 1: puts c0 in NTT form and decomposes c1 into \p Kind's
+  /// gadget digits, each in NTT form. \p A must have two components.
+  HoistedCiphertext hoist(const Ciphertext &A, GadgetKind Kind) const;
+
+  /// Rotation step 2: applies x -> x^Elt to the hoisted state by permuting
+  /// NTT slots, then switches back to the base secret with \p Keys' key
+  /// for \p Elt. The result is in NTT form.
+  Ciphertext applyGalois(const HoistedCiphertext &H, uint64_t Elt,
+                         const GaloisKeys &Keys) const;
 
   const BatchEncoder &encoder() const { return Encoder; }
 
@@ -101,15 +124,20 @@ private:
   mutable std::mutex PlainCacheMutex;
   mutable std::unordered_map<uint64_t, PlainCacheEntry> PlainCache;
 
-  /// Key-switching workhorse: returns (d0, d1) such that
-  /// d0 + d1*s ~= P * s' where Key switches s' -> s. Dispatches on the
-  /// key's gadget kind; results are in coefficient form.
-  std::pair<RingPoly, RingPoly> keySwitch(const RingPoly &P,
-                                          const KeySwitchKey &Key) const;
-  std::pair<RingPoly, RingPoly> keySwitchRns(const RingPoly &P,
-                                             const KeySwitchKey &Key) const;
-  std::pair<RingPoly, RingPoly> keySwitchBigInt(const RingPoly &P,
-                                                const KeySwitchKey &Key) const;
+  /// Gadget decomposition of \p P for \p Kind: one NTT-form digit
+  /// polynomial per gadget digit, in the order the keys store them.
+  std::vector<RingPoly> decompose(const RingPoly &P, GadgetKind Kind) const;
+
+  /// hoist() + applyGalois() for one non-identity Galois element.
+  Ciphertext rotate(const Ciphertext &A, uint64_t Elt,
+                    const GaloisKeys &Keys) const;
+
+  /// Key-switch inner product in NTT form: Acc0 += sum_d D_d * K0_d and
+  /// Acc1 += sum_d D_d * K1_d, where D_d is Digits[d] with output slot j
+  /// read from slot Perm[j] (Perm null: the digits as they are).
+  void keySwitchAccumulate(const std::vector<RingPoly> &Digits,
+                           const KeySwitchKey &Key, const uint32_t *Perm,
+                           RingPoly &Acc0, RingPoly &Acc1) const;
 
   /// The two tensor-and-round implementations behind multiply().
   Ciphertext multiplyRns(const Ciphertext &A, const Ciphertext &B) const;

@@ -72,21 +72,21 @@ GaloisKeys KeyGenerator::createGaloisKeys(const std::vector<int> &Steps,
                                           bool IncludeColumnSwap,
                                           GadgetKind Kind) {
   BatchEncoder Encoder(Ctx);
+  std::vector<uint64_t> Elts;
+  for (int Step : Steps)
+    Elts.push_back(Encoder.galoisEltForRotation(Step));
+  if (IncludeColumnSwap)
+    Elts.push_back(Encoder.galoisEltForColumnSwap());
+
   GaloisKeys Keys;
-  for (int Step : Steps) {
-    uint64_t Elt = Encoder.galoisEltForRotation(Step);
+  for (uint64_t Elt : Elts) {
     if (Elt == 1 || Keys.hasKey(Elt))
       continue;
     // Rotating maps s to s(x^elt); the key switches s(x^elt) back to s.
     RingPoly SAut = Secret.S.applyGalois(Ctx, Elt);
-    Keys.Keys.emplace(Elt, createKeySwitchKey(SAut, Kind));
-  }
-  if (IncludeColumnSwap) {
-    uint64_t Elt = Encoder.galoisEltForColumnSwap();
-    if (!Keys.hasKey(Elt)) {
-      RingPoly SAut = Secret.S.applyGalois(Ctx, Elt);
-      Keys.Keys.emplace(Elt, createKeySwitchKey(SAut, Kind));
-    }
+    Keys.Keys.emplace(Elt, GaloisKey{createKeySwitchKey(SAut, Kind),
+                                     nttGaloisPermutation(Ctx.polyDegree(),
+                                                          Elt)});
   }
   return Keys;
 }

@@ -8,8 +8,11 @@
 /// Key types for BFV: the ternary secret key, the RLWE public key,
 /// relinearization keys (key-switch from s^2 to s) and Galois keys
 /// (key-switch from s(x^e) to s, one per rotation step). Key-switching keys
-/// use base-2^w digit decomposition and are stored in NTT form so that
-/// applying them costs one forward NTT per digit.
+/// are stored in NTT form, so applying one to a decomposed ciphertext
+/// component is a pointwise inner product. Each Galois key also carries its
+/// element's NTT-slot permutation, built once at key generation: a rotation
+/// permutes the NTT-form digits of a hoisted ciphertext instead of
+/// transforming anything (Evaluator::hoist / Evaluator::applyGalois).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -62,12 +65,21 @@ struct RelinKeys {
   KeySwitchKey Key;
 };
 
-/// Galois keys: key-switch from s(x^elt) to s, stored per Galois element.
+/// The key for one Galois element: the switch from s(x^elt) back to s,
+/// and the automorphism x -> x^elt as a permutation of NTT slots.
+struct GaloisKey {
+  KeySwitchKey Switch;
+  /// Output NTT slot i reads input slot NttPermutation[i]
+  /// (nttGaloisPermutation()).
+  std::vector<uint32_t> NttPermutation;
+};
+
+/// Galois keys, stored per Galois element.
 struct GaloisKeys {
-  std::map<uint64_t, KeySwitchKey> Keys;
+  std::map<uint64_t, GaloisKey> Keys;
 
   bool hasKey(uint64_t Elt) const { return Keys.count(Elt) != 0; }
-  const KeySwitchKey &key(uint64_t Elt) const { return Keys.at(Elt); }
+  const GaloisKey &key(uint64_t Elt) const { return Keys.at(Elt); }
 };
 
 } // namespace porcupine

@@ -35,15 +35,20 @@ RingPoly RingPoly::sampleUniform(const BfvContext &Ctx, Rng &R) {
   return P;
 }
 
-/// Embeds per-coefficient signed smalls into all residue vectors.
+/// Embeds per-coefficient signed smalls (|v| < every q_i) into all residue
+/// vectors: a negative v maps to q_i - |v|, with no division.
 static RingPoly embedSmallSigned(const BfvContext &Ctx,
                                  const std::vector<int64_t> &Values) {
   RingPoly P = RingPoly::zero(Ctx);
   for (size_t I = 0; I < Ctx.coeffBasis().count(); ++I) {
     uint64_t Q = Ctx.coeffBasis().primes()[I];
     auto &Res = P.residues(I);
-    for (size_t J = 0; J < Values.size(); ++J)
-      Res[J] = toResidue(Values[J], Q);
+    for (size_t J = 0; J < Values.size(); ++J) {
+      int64_t V = Values[J];
+      assert(V > -static_cast<int64_t>(Q) && V < static_cast<int64_t>(Q) &&
+             "value is not small for this prime");
+      Res[J] = V < 0 ? Q - static_cast<uint64_t>(-V) : static_cast<uint64_t>(V);
+    }
   }
   return P;
 }
@@ -159,20 +164,6 @@ RingPoly RingPoly::multiply(const BfvContext &Ctx, const RingPoly &A,
   }
   Out.fromNtt(Ctx);
   return Out;
-}
-
-void RingPoly::fmaNtt(const BfvContext &Ctx, const RingPoly &A,
-                      const RingPoly &B) {
-  assert(Ntt && A.Ntt && B.Ntt && "fmaNtt requires NTT form");
-  for (size_t I = 0; I < Residues.size(); ++I) {
-    uint64_t Q = Ctx.coeffBasis().primes()[I];
-    const BarrettReducer &Red = Ctx.coeffNtt()[I].reducer();
-    auto &O = Residues[I];
-    const auto &X = A.Residues[I];
-    const auto &Y = B.Residues[I];
-    for (size_t J = 0; J < O.size(); ++J)
-      O[J] = addMod(O[J], Red.mulMod(X[J], Y[J]), Q);
-  }
 }
 
 void RingPoly::mulAssignNtt(const BfvContext &Ctx, const RingPoly &RHS) {

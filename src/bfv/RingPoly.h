@@ -104,10 +104,6 @@ public:
   static RingPoly multiply(const BfvContext &Ctx, const RingPoly &A,
                            const RingPoly &B);
 
-  /// Pointwise multiply-accumulate in NTT form: *this += A * B. All three
-  /// must be in NTT form. Operands may alias *this.
-  void fmaNtt(const BfvContext &Ctx, const RingPoly &A, const RingPoly &B);
-
   /// Pointwise multiply in NTT form: *this *= RHS. Both must be in NTT
   /// form; RHS may alias *this.
   void mulAssignNtt(const BfvContext &Ctx, const RingPoly &RHS);

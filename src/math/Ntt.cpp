@@ -131,6 +131,18 @@ NttTables::multiply(const std::vector<uint64_t> &A,
   return FA;
 }
 
+std::vector<uint32_t> porcupine::nttGaloisPermutation(size_t N, uint64_t Elt) {
+  unsigned LogN = log2Exact(N);
+  uint64_t Mask = 2 * N - 1;
+  assert(Elt % 2 == 1 && Elt <= Mask && "Galois element must be odd, < 2N");
+  std::vector<uint32_t> Perm(N);
+  for (size_t I = 0; I < N; ++I) {
+    uint64_t Exponent = ((2 * reverseBits(I, LogN) + 1) * Elt) & Mask;
+    Perm[I] = static_cast<uint32_t>(reverseBits((Exponent - 1) / 2, LogN));
+  }
+  return Perm;
+}
+
 std::vector<uint64_t>
 porcupine::naiveNegacyclicMultiply(const std::vector<uint64_t> &A,
                                    const std::vector<uint64_t> &B,

@@ -70,6 +70,13 @@ private:
   BarrettReducer Red;
 };
 
+/// The Galois automorphism x -> x^Elt (Elt odd, < 2N) as a permutation of
+/// forwardTransform's output slots. Slot i holds the evaluation at
+/// psi^(2*rev(i)+1), so the automorphism's output slot i reads input slot
+/// rev(((2*rev(i)+1)*Elt mod 2N - 1) / 2). The table is the same for every
+/// prime of a given length N.
+std::vector<uint32_t> nttGaloisPermutation(size_t N, uint64_t Elt);
+
 /// Reference O(N^2) negacyclic convolution used as a test oracle.
 std::vector<uint64_t> naiveNegacyclicMultiply(const std::vector<uint64_t> &A,
                                               const std::vector<uint64_t> &B,

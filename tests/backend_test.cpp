@@ -139,14 +139,68 @@ TEST(Executor, RandomProgramsAgreeWithInterpreter) {
   }
 }
 
+TEST(Executor, HoistedRotationScheduleMatchesInterpreter) {
+  // The executor hoists each rotated value once and shares that state
+  // across the value's rotations. Cover the schedule's edge cases: steps
+  // whose Galois element is 1 (0 and the row size), repeated identical
+  // steps, two sources interleaved, a source used after its last rotation,
+  // and a rotation of a rotation's (NTT-form) result. Every intermediate
+  // value must decrypt to the interpreter's.
+  BfvContext Ctx(testParams());
+  Rng R(34);
+  uint64_t T = Ctx.plainModulus();
+  int Row = static_cast<int>(Ctx.slotCount());
+
+  Program P;
+  P.NumInputs = 2;
+  P.VectorSize = Ctx.slotCount();
+  int Id0 = P.append(Instr::rot(0, 0));
+  int A = P.append(Instr::rot(0, 3));
+  int B = P.append(Instr::rot(1, 2));
+  int IdRow = P.append(Instr::rot(1, Row));
+  int A2 = P.append(Instr::rot(0, 3));
+  int C = P.append(Instr::rot(1, -1));
+  int D = P.append(Instr::rot(0, -5));
+  int Sum = P.append(Instr::ctCt(Opcode::AddCtCt, A, A2));
+  Sum = P.append(Instr::ctCt(Opcode::AddCtCt, Sum, B));
+  Sum = P.append(Instr::ctCt(Opcode::SubCtCt, Sum, C));
+  Sum = P.append(Instr::ctCt(Opcode::AddCtCt, Sum, D));
+  Sum = P.append(Instr::ctCt(Opcode::AddCtCt, Sum, 0));
+  Sum = P.append(Instr::ctCt(Opcode::AddCtCt, Sum, Id0));
+  Sum = P.append(Instr::ctCt(Opcode::AddCtCt, Sum, IdRow));
+  P.append(Instr::rot(Sum, 7));
+  P.append(Instr::rot(Sum, 1));
+
+  BfvExecutor Exec(Ctx, R, {&P});
+  std::vector<SlotVector> Inputs = {R.vectorBelow(64, P.VectorSize),
+                                    R.vectorBelow(64, P.VectorSize)};
+  std::vector<Ciphertext> Encrypted;
+  for (const SlotVector &In : Inputs)
+    Encrypted.push_back(Exec.encryptInput(In));
+  std::vector<SlotVector> Want = interpretAll(P, Inputs, T);
+
+  size_t K = 0;
+  Ciphertext Out = Exec.run(P, Encrypted, [&](const Ciphertext &Ct) {
+    EXPECT_EQ(Exec.decryptOutput(Ct, P.VectorSize),
+              Want[static_cast<size_t>(P.valueOf(K))])
+        << "instruction " << K;
+    ++K;
+  });
+  EXPECT_EQ(K, P.Instructions.size());
+  EXPECT_EQ(Exec.decryptOutput(Out, P.VectorSize), Want.back());
+}
+
 TEST(Executor, TraceExposesIntermediateStates) {
   BfvContext Ctx(testParams());
   Rng R(33);
   KernelBundle B = boxBlurKernel();
   BfvExecutor Exec(Ctx, R, {&B.Synthesized});
   auto Inputs = B.Spec.randomInputs(R, Ctx.plainModulus(), 16);
-  auto Trace = Exec.runWithTrace(B.Synthesized, {Exec.encryptInput(Inputs[0])},
-                                 B.Spec.vectorSize());
+  std::vector<std::vector<uint64_t>> Trace;
+  Exec.run(B.Synthesized, {Exec.encryptInput(Inputs[0])},
+           [&](const Ciphertext &Ct) {
+             Trace.push_back(Exec.decryptOutput(Ct, B.Spec.vectorSize()));
+           });
   ASSERT_EQ(Trace.size(), B.Synthesized.Instructions.size());
   // First instruction is rot(c0, 1): slot 0 holds input slot 1.
   EXPECT_EQ(Trace[0][0], Inputs[0][1]);

@@ -10,6 +10,7 @@
 #include "bfv/Encryptor.h"
 #include "bfv/Evaluator.h"
 #include "bfv/KeyGenerator.h"
+#include "math/ModArith.h"
 #include "math/Ntt.h"
 #include "support/Random.h"
 
@@ -120,6 +121,36 @@ TEST_F(BfvFixture, EncryptZero) {
   auto Slots = decryptSlots(Enc.encryptZero());
   for (uint64_t V : Slots)
     EXPECT_EQ(V, 0u);
+}
+
+TEST_F(BfvFixture, EncryptMatchesRingMultiplyReference) {
+  // The encryptor holds pk in NTT form and transforms u once; its output
+  // must stay byte-equal to the textbook formula computed with
+  // RingPoly::multiply from the same random draws.
+  PublicKey Pk = Keygen.createPublicKey();
+  Rng EncRng(99), RefRng(99);
+  Encryptor SeededEnc(Ctx, Pk, EncRng);
+  Plaintext Plain = Encoder.encode(randomSlots());
+  Ciphertext Got = SeededEnc.encrypt(Plain);
+
+  RingPoly U = RingPoly::sampleTernary(Ctx, RefRng);
+  RingPoly E1 = RingPoly::sampleError(Ctx, RefRng);
+  RingPoly E2 = RingPoly::sampleError(Ctx, RefRng);
+  RingPoly C0 = RingPoly::multiply(Ctx, Pk.Pk0, U);
+  C0.addAssign(Ctx, E1);
+  for (size_t I = 0; I < C0.primeCount(); ++I) {
+    uint64_t Q = Ctx.coeffBasis().primes()[I];
+    for (size_t J = 0; J < Plain.Coeffs.size(); ++J)
+      C0.residues(I)[J] = addMod(
+          C0.residues(I)[J],
+          mulMod(Plain.Coeffs[J] % Q, Ctx.deltaModPrimes()[I], Q), Q);
+  }
+  RingPoly C1 = RingPoly::multiply(Ctx, Pk.Pk1, U);
+  C1.addAssign(Ctx, E2);
+
+  ASSERT_EQ(Got.size(), 2u);
+  EXPECT_EQ(Got[0], C0);
+  EXPECT_EQ(Got[1], C1);
 }
 
 TEST_F(BfvFixture, DistinctEncryptionsOfSameValueDiffer) {
@@ -293,6 +324,41 @@ TEST_F(BfvFixture, RotationPreservesValuesUnderFullCycle) {
   auto Half = Eval.rotateRows(Ct, static_cast<int>(Row / 2), Keys);
   auto Full = Eval.rotateRows(Half, static_cast<int>(Row / 2), Keys);
   EXPECT_EQ(decryptSlots(Full), U);
+}
+
+TEST(GaloisNttPermutation, MatchesCoefficientAutomorphism) {
+  // Rotations permute NTT slots instead of coefficients. The table must
+  // agree with the coefficient-domain automorphism for every element a
+  // row rotation or the column swap produces. It depends only on N, so one
+  // prime suffices.
+  for (size_t N : {size_t(4096), size_t(8192)}) {
+    BfvParams Params;
+    Params.PolyDegree = N;
+    Params.CoeffPrimeBits = {40};
+    BfvContext Ctx(Params);
+    BatchEncoder Encoder(Ctx);
+    Rng R(11);
+    RingPoly P = RingPoly::sampleUniform(Ctx, R);
+    RingPoly PNtt = P;
+    PNtt.toNtt(Ctx);
+
+    std::vector<uint64_t> Elts = {Encoder.galoisEltForColumnSwap()};
+    for (size_t Step = 1; Step < Encoder.rowSize(); ++Step)
+      Elts.push_back(Encoder.galoisEltForRotation(static_cast<int>(Step)));
+    size_t Mismatches = 0;
+    for (uint64_t Elt : Elts) {
+      RingPoly Want = P.applyGalois(Ctx, Elt);
+      Want.toNtt(Ctx);
+      std::vector<uint32_t> Perm = nttGaloisPermutation(N, Elt);
+      for (size_t J = 0; J < N; ++J)
+        if (Want.residues(0)[J] != PNtt.residues(0)[Perm[J]]) {
+          ADD_FAILURE() << "N=" << N << " elt " << Elt << " slot " << J;
+          ++Mismatches;
+          break;
+        }
+    }
+    EXPECT_EQ(Mismatches, 0u) << "N=" << N;
+  }
 }
 
 //===----------------------------------------------------------------------===//
