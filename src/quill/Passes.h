@@ -69,17 +69,24 @@ namespace quill {
 /// Budgets bounding the `eqsat` pass's saturation loop (src/quill/eqsat/).
 /// Defined here rather than in the eqsat headers so PassContext and
 /// driver::CompileOptions can carry them without a layering cycle. The
-/// defaults saturate every bundled kernel with room to spare.
+/// defaults saturate seven of the thirteen bundled kernels. Variance and
+/// the three `.porc` workloads stop on the node cap, Dot Product and L2
+/// Distance on the iteration cap.
+///
+/// An iteration or node budget <= 0 stops saturation before its first
+/// sweep. The pass still extracts from the program's own e-graph, where
+/// duplicate terms already share one class, so it may commit a cheaper
+/// program.
 struct EqSatBudgets {
-  /// Maximum saturation iterations (full rule sweeps). <= 0 makes the
-  /// pass a no-op.
+  /// Maximum saturation iterations (full rule sweeps); <= 0 runs none.
   int MaxIterations = 8;
-  /// Stop once the e-graph holds this many live e-nodes. Enforced both
-  /// between sweeps and *inside* a sweep (wide programs with many
-  /// distinct rotations can blow past any between-sweep check within one
-  /// sweep), so it bounds work as well as memory. 40000 is the smallest
-  /// power-of-two-ish budget at which the variance kernel still discovers
-  /// its strength-reduction mult-depth win.
+  /// Stop once the e-graph holds more than this many live e-nodes;
+  /// <= 0 runs no sweep. Enforced both between sweeps and *inside* a
+  /// sweep (wide programs with many distinct rotations can blow past any
+  /// between-sweep check within one sweep), so it bounds work as well as
+  /// memory. 40000 is the smallest power-of-two-ish budget at which the
+  /// variance kernel still discovers its strength-reduction mult-depth
+  /// win.
   int MaxNodes = 40000;
   /// Wall-clock budget in milliseconds, checked between iterations.
   /// <= 0 (the default) disables the clock entirely: saturation is then

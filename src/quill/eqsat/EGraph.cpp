@@ -65,6 +65,7 @@ int EGraph::addNode(ENode N) {
   Parent.push_back(Id);
   ClassNodes.push_back({N});
   Hashcons.emplace(N, Id);
+  ++NumNodes;
   ++Version;
   return Id;
 }
@@ -128,13 +129,13 @@ bool EGraph::merge(int A, int B) {
 void EGraph::rebuild() {
   if (!Dirty)
     return;
-  // Brute-force fixpoint restoration: recanonicalize and dedup every
+  // Whole-graph fixpoint restoration: recanonicalize and dedup every
   // class's node list, then re-hashcons the whole graph; any hashcons
   // collision across two classes is a congruence (the classes hold a
   // structurally identical node) and is merged, which may re-dirty
-  // children — loop until clean. Quadratic in the worst case, but the
-  // graphs the eqsat pass builds are budget-bounded and small, and the
-  // simplicity buys obviously deterministic behavior.
+  // children — loop until clean. A round is O(n log n) in the live nodes,
+  // and rounds repeat once per level a congruence propagates upward.
+  // Classes are visited in id order, so the merges are deterministic.
   for (;;) {
     int NumIds = static_cast<int>(Parent.size());
     for (int C = 0; C < NumIds; ++C) {
@@ -144,7 +145,9 @@ void EGraph::rebuild() {
       for (ENode &N : Nodes)
         N = canonicalize(N);
       std::sort(Nodes.begin(), Nodes.end());
-      Nodes.erase(std::unique(Nodes.begin(), Nodes.end()), Nodes.end());
+      auto Dups = std::unique(Nodes.begin(), Nodes.end());
+      NumNodes -= static_cast<size_t>(Nodes.end() - Dups);
+      Nodes.erase(Dups, Nodes.end());
     }
     Hashcons.clear();
     std::vector<std::pair<int, int>> Pending;
@@ -184,14 +187,6 @@ size_t EGraph::numClasses() const {
   return N;
 }
 
-size_t EGraph::numNodes() const {
-  size_t N = 0;
-  for (int C = 0; C < static_cast<int>(Parent.size()); ++C)
-    if (find(C) == C)
-      N += ClassNodes[C].size();
-  return N;
-}
-
 bool EGraph::checkInvariants(std::string *Why) const {
   auto Fail = [&](const std::string &Msg) {
     if (Why)
@@ -201,6 +196,7 @@ bool EGraph::checkInvariants(std::string *Why) const {
   if (Dirty)
     return Fail("graph read while dirty (rebuild() missing)");
   std::map<ENode, int> Seen;
+  size_t Recount = 0;
   for (int C = 0; C < static_cast<int>(Parent.size()); ++C) {
     if (find(C) != C) {
       if (!ClassNodes[C].empty())
@@ -211,6 +207,7 @@ bool EGraph::checkInvariants(std::string *Why) const {
     const std::vector<ENode> &Nodes = ClassNodes[C];
     if (Nodes.empty())
       return Fail("canonical class " + std::to_string(C) + " has no nodes");
+    Recount += Nodes.size();
     for (size_t I = 0; I < Nodes.size(); ++I) {
       const ENode &N = Nodes[I];
       if (!(canonicalize(N) == N))
@@ -227,5 +224,8 @@ bool EGraph::checkInvariants(std::string *Why) const {
       Seen.emplace(N, C);
     }
   }
+  if (Recount != NumNodes)
+    return Fail("node counter " + std::to_string(NumNodes) +
+                " differs from the recount " + std::to_string(Recount));
   return true;
 }

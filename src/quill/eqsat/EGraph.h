@@ -18,11 +18,12 @@
 ///   * congruence closure — two e-nodes that become structurally identical
 ///     after canonicalization live in the same e-class.
 ///
-/// Determinism: all containers are ordered (std::map / sorted vectors),
-/// canonical roots are the *smallest* class id in a merged set, and node
-/// lists are sorted after every rebuild, so iteration order — and
-/// therefore everything Rules.cpp and Extract.cpp derive from it — is
-/// identical on every run and thread count.
+/// Determinism: canonical roots are the *smallest* class id in a merged
+/// set, and every walk visits class ids in ascending order and node lists
+/// sorted (rebuild re-sorts them). The hashcons is a hash table, but code
+/// only probes and fills it, never iterates it, so its order cannot leak:
+/// the sweeps in Rules.cpp and extraction in Extract.cpp see the same
+/// graph in the same order on every run and thread count.
 ///
 /// Normalization at insertion time keeps the graph small:
 ///   * commutative ct-ct operands (add, mul) are stored sorted;
@@ -42,9 +43,11 @@
 
 #include "quill/Program.h"
 
+#include <cstdint>
 #include <map>
 #include <optional>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 namespace porcupine {
@@ -76,6 +79,21 @@ struct ENode {
     if (B != R.B)
       return B < R.B;
     return Payload < R.Payload;
+  }
+};
+
+/// Hash for the hashcons: packs the four fields into two words and mixes.
+struct ENodeHash {
+  size_t operator()(const ENode &N) const {
+    auto Pack = [](int Hi, int Lo) {
+      return static_cast<uint64_t>(static_cast<uint32_t>(Hi)) << 32 |
+             static_cast<uint32_t>(Lo);
+    };
+    uint64_t H =
+        Pack(N.Kind, N.A) * 0x9e3779b97f4a7c15ull ^ Pack(N.B, N.Payload);
+    H ^= H >> 31;
+    H *= 0xbf58476d1ce4e5b9ull;
+    return static_cast<size_t>(H ^ (H >> 29));
   }
 };
 
@@ -127,9 +145,12 @@ public:
     return ClassNodes[find(Class)];
   }
 
-  /// Live class / node counts. Require a rebuilt graph.
+  /// Live class count. Requires a rebuilt graph.
   size_t numClasses() const;
-  size_t numNodes() const;
+  /// Live node count, in O(1) and at any time: on a dirty graph it
+  /// includes the duplicates the next rebuild() removes, exactly as a
+  /// recount over the canonical classes' node lists would.
+  size_t numNodes() const { return NumNodes; }
 
   /// Bumped whenever the graph structurally changes (new node allocated or
   /// two distinct classes merged). A saturation iteration that leaves
@@ -137,9 +158,10 @@ public:
   uint64_t version() const { return Version; }
 
   /// Invariant check for tests: every stored node canonical, every class's
-  /// node list sorted and unique, and no two distinct classes containing a
-  /// structurally identical node. Returns false and fills \p Why (when
-  /// non-null) on violation. Requires a rebuilt graph.
+  /// node list sorted and unique, no two distinct classes containing a
+  /// structurally identical node, and numNodes() equal to a recount.
+  /// Returns false and fills \p Why (when non-null) on violation.
+  /// Requires a rebuilt graph.
   bool checkInvariants(std::string *Why = nullptr) const;
 
 private:
@@ -153,7 +175,11 @@ private:
   // Node lists per class id; only canonical roots hold nodes after a
   // rebuild (merge moves the loser's nodes into the winner).
   std::vector<std::vector<ENode>> ClassNodes;
-  std::map<ENode, int> Hashcons;
+  // Sum of the canonical classes' node-list sizes: addNode adds one,
+  // merge moves nodes without changing it, rebuild subtracts the
+  // duplicates it drops.
+  size_t NumNodes = 0;
+  std::unordered_map<ENode, int, ENodeHash> Hashcons;
   std::vector<PlainConstant> Constants;
   std::map<std::vector<int64_t>, int> ConstIndex;
   uint64_t Version = 0;

@@ -58,7 +58,8 @@ ExtractionResult eqsat::extract(const EGraph &G, int Root, int NumInputs,
   Root = G.find(Root);
 
   const std::vector<int> Classes = G.classIds();
-  std::map<int, Best> BestOf;
+  // Indexed by canonical class id; ids ascend, so the last bounds them.
+  std::vector<Best> BestOf(Classes.back() + 1);
 
   // Bottom-up relaxation. The pass cap is the cycle guard: any chain of
   // genuine improvements is bounded by the class count (costs are

@@ -12,7 +12,8 @@
 /// cannot see), and the determinism contract: with the wall-clock budget
 /// disabled, extraction is byte-identical across repeated runs, across
 /// budget settings that both reach saturation, and across synthesis
-/// thread counts.
+/// thread counts. The budget-stopped trajectories of the three `.porc`
+/// workloads are pinned against goldens in tests/expected/.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -29,6 +30,10 @@
 #include "TestSeed.h"
 
 #include <gtest/gtest.h>
+
+#include <fstream>
+#include <set>
+#include <sstream>
 
 using namespace porcupine;
 using namespace porcupine::quill;
@@ -120,6 +125,68 @@ TEST(EGraph, MergeIsIdempotentAndVersioned) {
   // Re-merging an already-unified pair must not claim a change.
   EXPECT_FALSE(G.merge(A, B));
   EXPECT_EQ(G.version(), V1);
+}
+
+/// Brute-force live-node count: the node lists of the distinct roots of
+/// \p Ids, read as they stand (a dirty graph's duplicates included).
+size_t recountNodes(const EGraph &G, const std::vector<int> &Ids) {
+  std::set<int> Roots;
+  for (int Id : Ids)
+    Roots.insert(G.find(Id));
+  size_t N = 0;
+  for (int R : Roots)
+    N += G.nodes(R).size();
+  return N;
+}
+
+TEST(EGraph, NodeCountTracksInterleavedAddsAndMerges) {
+  // A rule sweep adds nodes and merges classes with no rebuild in between
+  // and reads numNodes() after every application (the node cap). The
+  // count must equal the recount at each step, duplicates that only the
+  // next rebuild removes included, and again after that rebuild.
+  const uint64_t Seed = testSeed(9000);
+  SeedReporter Report(Seed);
+  Rng R(Seed);
+  EGraph G(/*Width=*/8, T);
+  std::vector<int> Ids;
+  for (int I = 0; I < 3; ++I)
+    Ids.push_back(G.addInput(I));
+  PlainConstant Two;
+  Two.Values = {2};
+  const int Pt = G.internConstant(Two);
+  bool SawDuplicates = false;
+  for (int Round = 0; Round < 6; ++Round) {
+    for (int Step = 0; Step < 40; ++Step) {
+      const int A = Ids[R.below(Ids.size())];
+      const int B = Ids[R.below(Ids.size())];
+      switch (R.below(5)) {
+      case 0:
+        Ids.push_back(G.addCtCt(Opcode::AddCtCt, A, B));
+        break;
+      case 1:
+        Ids.push_back(G.addCtCt(Opcode::MulCtCt, A, B));
+        break;
+      case 2:
+        Ids.push_back(G.addCtPt(Opcode::MulCtPt, A, Pt));
+        break;
+      case 3:
+        Ids.push_back(G.addRot(A, 1 + static_cast<int>(R.below(7))));
+        break;
+      default:
+        G.merge(A, B);
+        break;
+      }
+      ASSERT_EQ(G.numNodes(), recountNodes(G, Ids))
+          << "round " << Round << ", step " << Step;
+    }
+    const size_t Before = G.numNodes();
+    G.rebuild();
+    ASSERT_EQ(G.numNodes(), recountNodes(G, Ids)) << "after rebuild " << Round;
+    ASSERT_EQ(invariants(G), "");
+    SawDuplicates |= G.numNodes() < Before;
+  }
+  // The schedule must reach the path where rebuild drops duplicates.
+  EXPECT_TRUE(SawDuplicates);
 }
 
 //===----------------------------------------------------------------------===//
@@ -456,6 +523,57 @@ TEST(EqSatStats, NodeBudgetStopIsReportedNotSaturated) {
     return;
   }
   ADD_FAILURE() << "Variance kernel missing from the registry";
+}
+
+std::string readExpected(const std::string &File) {
+  const std::string Path = std::string(PORCUPINE_EXPECTED_DIR) + "/" + File;
+  std::ifstream In(Path);
+  if (!In)
+    ADD_FAILURE() << "cannot read " << Path;
+  std::stringstream SS;
+  SS << In.rdbuf();
+  return SS.str();
+}
+
+TEST(EqSatStats, PorcWorkloadTrajectoriesArePinned) {
+  // The three .porc workloads stop on the node cap under the default
+  // budgets. Saturation is clock-free, so every sweep, merge, and cap
+  // check lands the same way on every run: pin the e-graph statistics,
+  // the cost, and the extracted program bytes.
+  struct Case {
+    const char *Name, *Slug;
+    int Classes, Nodes, Iterations;
+    bool Saturated;
+    int Rewrites;
+    double Cost;
+  };
+  const Case Cases[] = {
+      {"Conv2D 5x5", "conv2d-5x5", 20038, 40002, 2, false, 0, 96800},
+      {"Perceptron 8-4-1", "perceptron-8-4-1", 15776, 40001, 4, false,
+       34547, 170200},
+      {"Group-By Sum", "group-by-sum", 14844, 40001, 5, false, 28954,
+       36000},
+  };
+  driver::CompileOptions Opts;
+  Opts.Pipeline = eqsatPipeline();
+  driver::Compiler C(Opts);
+  for (const Case &K : Cases) {
+    auto R = C.compilePorc(kernels::porcWorkloadSource(K.Name),
+                           std::string(K.Slug) + ".porc");
+    ASSERT_TRUE(R.hasValue()) << K.Name << ": " << R.status().toString();
+    ASSERT_FALSE(R->Optimizer.Passes.empty()) << K.Name;
+    const PassRunStats &S = R->Optimizer.Passes.back();
+    ASSERT_EQ(S.Pass, "eqsat") << K.Name;
+    EXPECT_EQ(S.EqSatClasses, K.Classes) << K.Name;
+    EXPECT_EQ(S.EqSatNodes, K.Nodes) << K.Name;
+    EXPECT_EQ(S.EqSatIterations, K.Iterations) << K.Name;
+    EXPECT_EQ(S.EqSatSaturated, K.Saturated) << K.Name;
+    EXPECT_EQ(S.Rewrites, K.Rewrites) << K.Name;
+    EXPECT_EQ(R->Cost, K.Cost) << K.Name;
+    EXPECT_EQ(printProgram(R->Program),
+              readExpected(std::string("eqsat_") + K.Slug + ".quill"))
+        << K.Name;
+  }
 }
 
 TEST(EqSatStats, UnknownPassDiagnosticListsKnownNames) {
