@@ -812,7 +812,9 @@ QueryResult runQuerySequential(const KernelSpec &Spec, const Sketch &Sk,
 /// Tasks before the winning index always run to completion (a later, but
 /// lower-indexed, solution must win), and the call returns only after
 /// every task finished — the captured spec/sketch/example state may be
-/// mutated by the caller the moment this returns.
+/// mutated by the caller the moment this returns. The nodes of the tasks
+/// up to the winner go to NodesExplored, which the schedule therefore
+/// cannot change; those of the outrun tasks go to NodesOutrun.
 ///
 /// A query that times out anywhere reports TimedOut with no solution,
 /// like the sequential path. (Under deadline pressure the portfolio can
@@ -855,6 +857,7 @@ QueryResult runQueryPortfolio(const KernelSpec &Spec, const Sketch &Sk,
   std::atomic<int> Best{INT_MAX};
   CancellationSource Cancel;
   std::vector<ChosenInstr> BestChosen;
+  std::vector<long> NodesByTask(NumTasks, 0);
   int DoneCount = 0;
   /// Lowest index whose subtree was NOT searched to completion (timed
   /// out, aborted, or skipped), and whether any task genuinely hit the
@@ -885,7 +888,7 @@ QueryResult runQueryPortfolio(const KernelSpec &Spec, const Sketch &Sk,
         TaskNodes = S.nodes();
       }
       std::lock_guard<std::mutex> LG(M);
-      Stats.NodesExplored += TaskNodes;
+      NodesByTask[J] = TaskNodes;
       Stats.NodesPerThread[Worker] += TaskNodes;
       if (TOut) {
         AnyTimeout = true;
@@ -914,6 +917,10 @@ QueryResult runQueryPortfolio(const KernelSpec &Spec, const Sketch &Sk,
   // earlier (or stalled first) — report the timeout instead, like the
   // sequential path does.
   int Winner = Best.load(std::memory_order_relaxed);
+  // Subtrees up to the winner ran to completion whatever the schedule;
+  // those above it stopped wherever cancellation caught their worker.
+  for (int J = 0; J < NumTasks; ++J)
+    (J <= Winner ? Stats.NodesExplored : Stats.NodesOutrun) += NodesByTask[J];
   if (Winner < MinPartialIdx) {
     Q.Sat = true;
     Q.Chosen = std::move(BestChosen);

@@ -91,13 +91,22 @@ struct SynthesisStats {
   /// True when the optimizer exhausted the sketch (solution proven optimal
   /// under the cost model within this sketch).
   bool ProvenOptimal = false;
+  /// Candidates the search needed: every subtree up to and including the
+  /// one holding the solution. Those subtrees always run to completion, so
+  /// for a run that does not time out the count depends only on the spec,
+  /// sketch and options (thread count included), never on the schedule.
   long NodesExplored = 0;
+  /// Candidates the portfolio visited in subtrees above the solution's
+  /// before cancellation stopped them. How far each worker got depends on
+  /// the thread schedule; always 0 on the sequential path.
+  long NodesOutrun = 0;
 
-  // Parallel-search accounting (PR 4). ThreadsUsed is the resolved worker
+  // Parallel-search accounting. ThreadsUsed is the resolved worker
   // count (1 when synthesis never ran the portfolio path); NodesPerThread
-  // has one entry per worker and sums to NodesExplored; CpuTimeSeconds is
-  // process CPU time across all workers, so CpuTimeSeconds /
-  // TotalTimeSeconds approximates the achieved parallel speedup.
+  // has one entry per worker and sums to NodesExplored + NodesOutrun;
+  // CpuTimeSeconds is process CPU time across all workers, so
+  // CpuTimeSeconds / TotalTimeSeconds approximates the achieved parallel
+  // speedup.
   int ThreadsUsed = 1;
   std::vector<long> NodesPerThread;
   double CpuTimeSeconds = 0.0;
