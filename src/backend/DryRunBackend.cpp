@@ -44,20 +44,14 @@ public:
 
   Expected<Value> run(const quill::Program &P,
                       const std::vector<Value> &Inputs) const override {
-    // Non-splat constants are stored at program width; expand them to the
-    // row with zeros (PlainConstant::at() indexes past the stored values
-    // otherwise). Splats broadcast everywhere, like the BFV encoder.
-    std::vector<PlainConstant> Consts = P.Constants;
-    for (PlainConstant &C : Consts)
-      if (!C.isSplat())
-        C.Values.resize(State->Row, 0);
-
+    // Constants are stored at program width; PlainConstant::at() reads 0
+    // past them and splats broadcast, like the BFV encoder fills the row.
     std::vector<SlotVector> Values;
     Values.reserve(P.numValues());
     for (const Value &V : Inputs)
       Values.push_back(V.get<SlotVector>());
     for (const Instr &I : P.Instructions)
-      Values.push_back(applyInstr(I, Values, Consts, State->T));
+      Values.push_back(applyInstr(I, Values, P.Constants, State->T));
     ChargedUs += Cost.latency(P);
     return Value::wrap(std::move(Values[P.outputId()]));
   }
@@ -73,17 +67,12 @@ public:
   Expected<std::vector<std::vector<uint64_t>>>
   runWithTrace(const quill::Program &P, const std::vector<Value> &Inputs,
                size_t TraceWidth) const override {
-    std::vector<PlainConstant> Consts = P.Constants;
-    for (PlainConstant &C : Consts)
-      if (!C.isSplat())
-        C.Values.resize(State->Row, 0);
-
     std::vector<SlotVector> Values;
     for (const Value &V : Inputs)
       Values.push_back(V.get<SlotVector>());
     std::vector<std::vector<uint64_t>> Trace;
     for (const Instr &I : P.Instructions) {
-      Values.push_back(applyInstr(I, Values, Consts, State->T));
+      Values.push_back(applyInstr(I, Values, P.Constants, State->T));
       SlotVector Snap = Values.back();
       Snap.resize(TraceWidth);
       Trace.push_back(std::move(Snap));

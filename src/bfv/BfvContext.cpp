@@ -67,7 +67,8 @@ BfvContext::BfvContext(const BfvParams &Params)
       AuxBasis(makeAuxBasis(N, CoeffBasis)),
       AuxNtt(makeNttTables(N, AuxBasis.primes())),
       PlainBasis({Params.PlainModulus}), CoeffToAux(CoeffBasis, AuxBasis),
-      AuxToCoeff(AuxBasis, CoeffBasis), CoeffToPlain(CoeffBasis, PlainBasis),
+      AuxScaleToCoeff(AuxBasis, CoeffBasis, Params.PlainModulus),
+      CoeffToPlain(CoeffBasis, PlainBasis),
       Width(Params.DecompWidth) {
   assert((N & (N - 1)) == 0 && N >= 8 && "poly degree must be a power of two");
   if (!isPrime(T) || (T - 1) % (2 * N) != 0)
@@ -114,15 +115,6 @@ BfvContext::BfvContext(const BfvParams &Params)
     }
   }
 
-  // Scalar tables for the RNS multiply scale-and-round.
-  for (uint64_t P : AuxBasis.primes()) {
-    uint64_t TMod = T % P;
-    TModAux.push_back(TMod);
-    TModAuxShoup.push_back(shoupPrecompute(TMod, P));
-    uint64_t QInv = invMod(CoeffBasis.modulus().modWord(P), P);
-    InvQModAux.push_back(QInv);
-    InvQModAuxShoup.push_back(shoupPrecompute(QInv, P));
-  }
   for (uint64_t P : CoeffBasis.primes()) {
     uint64_t TMod = T % P;
     TModPrimes.push_back(TMod);

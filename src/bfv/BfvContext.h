@@ -111,22 +111,17 @@ public:
   /// while decomposition needs no wide integers.
   const std::vector<RnsGadgetDigit> &rnsGadget() const { return RnsGadget; }
 
-  /// Fast base conversions between the coefficient and auxiliary bases
-  /// (the RNS multiply hot path).
+  /// The RNS multiply's two basis changes: the fast conversion that extends
+  /// operands from the coefficient basis into the auxiliary one, and the
+  /// one-pass scale-and-round that takes a tensor component from the
+  /// auxiliary basis straight to round(t * e / Q) over the coefficient
+  /// primes.
   const RnsBaseConverter &coeffToAux() const { return CoeffToAux; }
-  const RnsBaseConverter &auxToCoeff() const { return AuxToCoeff; }
+  const RnsScaleRounder &auxScaleToCoeff() const { return AuxScaleToCoeff; }
   /// Conversion from the coefficient basis onto the single-prime basis {t},
   /// used by RNS decryption.
   const RnsBaseConverter &coeffToPlain() const { return CoeffToPlain; }
 
-  /// t mod p_j over the auxiliary primes, with Shoup pairs.
-  const std::vector<uint64_t> &plainModAux() const { return TModAux; }
-  const std::vector<uint64_t> &plainModAuxShoup() const { return TModAuxShoup; }
-  /// Q^-1 mod p_j over the auxiliary primes, with Shoup pairs.
-  const std::vector<uint64_t> &invQModAux() const { return InvQModAux; }
-  const std::vector<uint64_t> &invQModAuxShoup() const {
-    return InvQModAuxShoup;
-  }
   /// Shoup pairs for multiplying coefficient-basis residues by t.
   const std::vector<uint64_t> &plainModPrimes() const { return TModPrimes; }
   const std::vector<uint64_t> &plainModPrimesShoup() const {
@@ -152,7 +147,7 @@ private:
   std::vector<NttTables> AuxNtt;
   CrtBasis PlainBasis;
   RnsBaseConverter CoeffToAux;
-  RnsBaseConverter AuxToCoeff;
+  RnsScaleRounder AuxScaleToCoeff;
   RnsBaseConverter CoeffToPlain;
   BigInt Delta;
   std::vector<uint64_t> DeltaModPrimes;
@@ -161,10 +156,6 @@ private:
   unsigned Digits;
   std::vector<std::vector<uint64_t>> DigitScales;
   std::vector<RnsGadgetDigit> RnsGadget;
-  std::vector<uint64_t> TModAux;
-  std::vector<uint64_t> TModAuxShoup;
-  std::vector<uint64_t> InvQModAux;
-  std::vector<uint64_t> InvQModAuxShoup;
   std::vector<uint64_t> TModPrimes;
   std::vector<uint64_t> TModPrimesShoup;
   uint64_t InvQModT = 0;

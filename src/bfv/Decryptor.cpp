@@ -77,20 +77,16 @@ Plaintext Decryptor::decrypt(const Ciphertext &Ct) const {
   return Plaintext(std::move(Coeffs));
 }
 
-double Decryptor::invariantNoiseBudget(const Ciphertext &Ct) const {
-  RingPoly CS = evaluateAtSecret(Ct);
-  std::vector<BigInt> Lifted = CS.liftCentered(Ctx);
+/// The wide-integer oracle for the noise numerator: max_j |[t * x_j]_Q|
+/// over the centered lifts x_j of c(s).
+static BigInt maxNoiseNumeratorBigInt(const BfvContext &Ctx,
+                                      const RingPoly &CS) {
   const BigInt &Q = Ctx.coeffModulus();
-  uint64_t T = Ctx.plainModulus();
-
-  // The invariant noise v satisfies (t/Q)*c(s) = m + v (mod t); its
-  // numerator is the centered remainder of t*x mod Q. Decryption is correct
-  // while |v| < 1/2, i.e. while 2*|r| < Q.
+  BigInt T = BigInt::fromU64(Ctx.plainModulus());
   BigInt MaxR;
-  for (const BigInt &X : Lifted) {
-    BigInt Prod = X * BigInt::fromU64(T);
+  for (const BigInt &X : CS.liftCentered(Ctx)) {
     BigInt Quot, Rem;
-    Prod.divMod(Q, Quot, Rem);
+    (X * T).divMod(Q, Quot, Rem);
     // Center the remainder into (-Q/2, Q/2].
     if (!Rem.isNegative()) {
       if (Rem.shiftLeft(1) > Q)
@@ -103,6 +99,19 @@ double Decryptor::invariantNoiseBudget(const Ciphertext &Ct) const {
     if (AbsRem > MaxR)
       MaxR = AbsRem;
   }
+  return MaxR;
+}
+
+double Decryptor::invariantNoiseBudget(const Ciphertext &Ct) const {
+  RingPoly CS = evaluateAtSecret(Ct);
+  const BigInt &Q = Ctx.coeffModulus();
+
+  // The invariant noise v satisfies (t/Q)*c(s) = m + v (mod t); its
+  // numerator is the centered remainder of t*x mod Q. Decryption is correct
+  // while |v| < 1/2, i.e. while 2*|r| < Q.
+  BigInt MaxR = UseRns ? Ctx.coeffBasis().maxCenteredMagnitude(
+                             CS.allResidues(), Ctx.plainModulus())
+                       : maxNoiseNumeratorBigInt(Ctx, CS);
   if (MaxR.isZero())
     return Q.log2Magnitude() - 1.0;
   double Budget = Q.log2Magnitude() - MaxR.log2Magnitude() - 1.0;

@@ -24,11 +24,12 @@ namespace porcupine {
 /// Decrypts ciphertexts and measures their noise.
 class Decryptor {
 public:
-  /// \p UseRnsPath selects the word-residue decryption (the default); pass
-  /// false for the wide-integer reference path, kept as a differential
-  /// oracle. Both produce identical plaintexts on any decryptable
-  /// ciphertext (the ciphertext modulus is odd, so the t/Q rounding has no
-  /// ties for the paths to resolve differently).
+  /// \p UseRnsPath selects the word-residue decryption and noise meter
+  /// (the default); pass false for the wide-integer reference paths, kept
+  /// as differential oracles. Both produce identical plaintexts on any
+  /// decryptable ciphertext (the ciphertext modulus is odd, so the t/Q
+  /// rounding has no ties for the paths to resolve differently) and
+  /// identical noise budgets on every ciphertext.
   Decryptor(const BfvContext &Ctx, SecretKey Sk, bool UseRnsPath = true);
 
   /// Decrypts \p Ct (any component count) to a plaintext.
@@ -36,7 +37,10 @@ public:
 
   /// Returns the invariant noise budget in bits: log2(Q / (2*|v|)) where v
   /// is the scaled noise term. Returns 0 when the ciphertext is no longer
-  /// guaranteed to decrypt correctly.
+  /// guaranteed to decrypt correctly. The RNS path finds the largest noise
+  /// numerator by composing residues in machine words
+  /// (CrtBasis::maxCenteredMagnitude); only that maximum becomes a wide
+  /// integer, so both paths return the same double.
   double invariantNoiseBudget(const Ciphertext &Ct) const;
 
 private:

@@ -221,116 +221,83 @@ Ciphertext Evaluator::multiplyBigInt(const Ciphertext &A,
   return Out;
 }
 
-RingPoly Evaluator::scaleToRingRns(
-    const std::vector<std::vector<uint64_t>> &TensorAux) const {
-  // The tensor coefficient e lives (exactly, as a signed value) in the
-  // auxiliary basis. The goal is c = round(t*e / Q) in the coefficient
-  // basis. Write t*e = Q*c + r with r the centered remainder of t*e mod Q;
-  // then c = (t*e - r) / Q, computed residue-wise in the auxiliary basis
-  // where division by Q is multiplication by Q^-1.
-  size_t N = Ctx.polyDegree();
-  const auto &CoeffPrimes = Ctx.coeffBasis().primes();
-  const auto &AuxPrimes = Ctx.auxBasis().primes();
-
-  // e mod q_i. |e| <= 2.25*N*Q^2 while Maux >= 2^8*N*Q^2, so the fraction
-  // sum is far from the rounding boundary and the conversion is exact.
-  std::vector<std::vector<uint64_t>> EModQ;
-  Ctx.auxToCoeff().convert(TensorAux, EModQ);
-
-  // r_i = t * e mod q_i: the residues of the centered remainder.
-  std::vector<std::vector<uint64_t>> R(CoeffPrimes.size());
-  const auto &TMod = Ctx.plainModPrimes();
-  const auto &TShoup = Ctx.plainModPrimesShoup();
-  for (size_t I = 0; I < CoeffPrimes.size(); ++I) {
-    uint64_t Q = CoeffPrimes[I];
-    R[I].resize(N);
-    for (size_t J = 0; J < N; ++J)
-      R[I][J] = mulModShoup(EModQ[I][J], TMod[I], TShoup[I], Q);
-  }
-
-  // r back into the auxiliary basis. A coefficient within float-epsilon of
-  // |r| = Q/2 may convert as r -/+ Q, which shifts c by 1 -- ordinary
-  // rounding noise, absorbed by the budget like any multiply noise.
-  std::vector<std::vector<uint64_t>> RAux;
-  Ctx.coeffToAux().convert(R, RAux);
-
-  // c_j = (t*e_j - r_j) * Q^-1 mod p_j.
-  std::vector<std::vector<uint64_t>> C(AuxPrimes.size());
-  const auto &TModA = Ctx.plainModAux();
-  const auto &TModAShoup = Ctx.plainModAuxShoup();
-  const auto &QInv = Ctx.invQModAux();
-  const auto &QInvShoup = Ctx.invQModAuxShoup();
-  for (size_t P = 0; P < AuxPrimes.size(); ++P) {
-    uint64_t Prime = AuxPrimes[P];
-    C[P].resize(N);
-    const auto &E = TensorAux[P];
-    const auto &RA = RAux[P];
-    for (size_t J = 0; J < N; ++J) {
-      uint64_t TE = mulModShoup(E[J], TModA[P], TModAShoup[P], Prime);
-      uint64_t Num = subMod(TE, RA[J], Prime);
-      C[P][J] = mulModShoup(Num, QInv[P], QInvShoup[P], Prime);
-    }
-  }
-
-  // |c| <= t * 2.25 * N * Q << Maux / 2: exact conversion back.
-  RingPoly Out = RingPoly::zero(Ctx);
-  Ctx.auxToCoeff().convert(C, Out.allResidues());
-  return Out;
-}
-
 Ciphertext Evaluator::multiplyRns(const Ciphertext &A,
                                   const Ciphertext &B) const {
   size_t N = Ctx.polyDegree();
   const auto &AuxPrimes = Ctx.auxBasis().primes();
   size_t KAux = AuxPrimes.size();
   const auto &AuxNtt = Ctx.auxNtt();
+  // A square (the same object twice) extends and transforms its two
+  // components once and forms e1 = 2 * a0 * a1.
+  bool Square = &A == &B;
 
-  // 1. Extend every component into the auxiliary basis and transform. The
-  // fast conversion yields (nearly) centered lifts -- a coefficient within
-  // float-epsilon of |x| = Q/2 may land at x -/+ Q, which perturbs the
-  // product by t*|u*ct(s)|/Q ~ t^2-scale noise after rounding: harmless.
-  std::array<std::vector<std::vector<uint64_t>>, 4> Ops;
-  const RingPoly *Sources[4] = {&A[0], &A[1], &B[0], &B[1]};
-  for (size_t S = 0; S < 4; ++S) {
-    RingPoly C = *Sources[S];
-    C.ensureCoeff(Ctx);
-    Ctx.coeffToAux().convert(C.allResidues(), Ops[S]);
+  // 1. Extend every distinct component into the auxiliary basis and
+  // transform. The fast conversion yields (nearly) centered lifts -- a
+  // coefficient within float-epsilon of |x| = Q/2 may land at x -/+ Q,
+  // which perturbs the product by t*|u*ct(s)|/Q ~ t^2-scale noise after
+  // rounding: harmless.
+  using AuxResidues = std::vector<std::vector<uint64_t>>;
+  std::array<AuxResidues, 4> Ops;
+  auto Extend = [&](const RingPoly &Src, AuxResidues &Out) {
+    // Only an NTT-form component needs a coefficient-form copy.
+    if (Src.isNtt()) {
+      RingPoly C = Src;
+      C.fromNtt(Ctx);
+      Ctx.coeffToAux().convert(C.allResidues(), Out);
+    } else {
+      Ctx.coeffToAux().convert(Src.allResidues(), Out);
+    }
     for (size_t P = 0; P < KAux; ++P)
-      AuxNtt[P].forwardTransform(Ops[S][P]);
+      AuxNtt[P].forwardTransform(Out[P]);
+  };
+  Extend(A[0], Ops[0]);
+  Extend(A[1], Ops[1]);
+  if (Square) {
+    Ops[2].assign(KAux, std::vector<uint64_t>(N));
+  } else {
+    Extend(B[0], Ops[2]);
+    Extend(B[1], Ops[3]);
   }
 
-  // 2. Pointwise tensor: e0 = a0*b0, e1 = a0*b1 + a1*b0, e2 = a1*b1. The
-  // auxiliary modulus exceeds 2^8 * N * Q^2, so the signed convolutions are
-  // represented exactly.
-  std::array<std::vector<std::vector<uint64_t>>, 3> Tensor;
-  for (auto &T : Tensor) {
-    T.resize(KAux);
-    for (auto &V : T)
-      V.resize(N);
-  }
+  // 2. Pointwise tensor, in place: e0 = a0*b0 over a0, e1 = a0*b1 + a1*b0
+  // over a1, e2 = a1*b1 over b0 (every slot is read before it is written).
+  // The auxiliary modulus exceeds 2^8 * N * Q^2, so the signed
+  // convolutions are represented exactly.
   for (size_t P = 0; P < KAux; ++P) {
     uint64_t Prime = AuxPrimes[P];
     const BarrettReducer &Red = AuxNtt[P].reducer();
-    const auto &A0 = Ops[0][P];
-    const auto &A1 = Ops[1][P];
-    const auto &B0 = Ops[2][P];
+    auto &E0 = Ops[0][P];
+    auto &E1 = Ops[1][P];
+    auto &E2 = Ops[2][P];
+    if (Square) {
+      for (size_t J = 0; J < N; ++J) {
+        uint64_t A0 = E0[J], A1 = E1[J];
+        uint64_t Cross = Red.mulMod(A0, A1);
+        E0[J] = Red.mulMod(A0, A0);
+        E1[J] = addMod(Cross, Cross, Prime);
+        E2[J] = Red.mulMod(A1, A1);
+      }
+      continue;
+    }
     const auto &B1 = Ops[3][P];
     for (size_t J = 0; J < N; ++J) {
-      Tensor[0][P][J] = Red.mulMod(A0[J], B0[J]);
-      Tensor[1][P][J] =
-          addMod(Red.mulMod(A0[J], B1[J]), Red.mulMod(A1[J], B0[J]), Prime);
-      Tensor[2][P][J] = Red.mulMod(A1[J], B1[J]);
+      uint64_t A0 = E0[J], A1 = E1[J], B0 = E2[J];
+      E0[J] = Red.mulMod(A0, B0);
+      E1[J] = addMod(Red.mulMod(A0, B1[J]), Red.mulMod(A1, B0), Prime);
+      E2[J] = Red.mulMod(A1, B1[J]);
     }
   }
-  for (auto &T : Tensor)
-    for (size_t P = 0; P < KAux; ++P)
-      AuxNtt[P].inverseTransform(T[P]);
 
-  // 3. Scale each component by t/Q with rounding, landing in the
-  // coefficient basis.
+  // 3. Back to coefficients, then scale each component by t/Q with
+  // rounding in one pass from the auxiliary basis to the coefficient one.
   Ciphertext Out;
-  for (auto &T : Tensor)
-    Out.Components.push_back(scaleToRingRns(T));
+  for (size_t C = 0; C < 3; ++C) {
+    for (size_t P = 0; P < KAux; ++P)
+      AuxNtt[P].inverseTransform(Ops[C][P]);
+    RingPoly Component = RingPoly::zero(Ctx);
+    Ctx.auxScaleToCoeff().scaleAndRound(Ops[C], Component.allResidues());
+    Out.Components.push_back(std::move(Component));
+  }
   return Out;
 }
 

@@ -42,11 +42,11 @@ struct HoistedCiphertext {
 /// bounded cache of NTT-form plaintexts (so kernels that multiply by the
 /// same constants every call pay the plaintext NTT once).
 ///
-/// The hot paths (ciphertext multiply, key switching, decryption) run
-/// RNS-native by default: every per-coefficient step works on 64-bit
-/// residues, with fast base conversion in place of CRT lifts. Passing
-/// UseRnsHotPath = false selects the original wide-integer reference path,
-/// kept alive as a differential-testing oracle.
+/// The hot paths (ciphertext multiply, key switching) run RNS-native by
+/// default: every per-coefficient step works on 64-bit residues, with fast
+/// base conversion in place of CRT lifts. Passing UseRnsHotPath = false
+/// selects the original wide-integer multiply, kept alive as a
+/// differential-testing oracle; the two return identical residues.
 ///
 /// Ciphertexts may be in either coefficient or NTT form (all components of
 /// one ciphertext always share a form). Operations that are cheap in
@@ -79,8 +79,12 @@ public:
   /// Ciphertext - plaintext.
   Ciphertext subPlain(const Ciphertext &A, const Plaintext &B) const;
 
-  /// Slot-wise ciphertext multiplication; the result has three components
-  /// until relinearize() is applied. Operands must be two-component.
+  /// Slot-wise ciphertext multiplication; the result has three components,
+  /// in coefficient form, until relinearize() is applied. Operands must be
+  /// two-component. The RNS path extends both operands into the auxiliary
+  /// basis, tensors there in NTT form and scales by t/Q in one pass
+  /// straight onto the coefficient primes. Passing the same object twice
+  /// squares: its components are extended and transformed once.
   Ciphertext multiply(const Ciphertext &A, const Ciphertext &B) const;
 
   /// Ciphertext * plaintext (no component growth, milder noise).
@@ -142,11 +146,6 @@ private:
   /// The two tensor-and-round implementations behind multiply().
   Ciphertext multiplyRns(const Ciphertext &A, const Ciphertext &B) const;
   Ciphertext multiplyBigInt(const Ciphertext &A, const Ciphertext &B) const;
-
-  /// Rounds one tensor component held in the auxiliary basis by t/Q and
-  /// returns it reduced into the coefficient basis (RNS multiply step 3).
-  RingPoly scaleToRingRns(
-      const std::vector<std::vector<uint64_t>> &TensorAux) const;
 
   /// Exact negacyclic convolution of two R_Q elements over the integers
   /// (centered lifts), returned as wide-integer coefficients.

@@ -8,9 +8,9 @@
 /// Elements of R_Q = Z_Q[x]/(x^N + 1) stored in residue-number-system form:
 /// one length-N residue vector per coefficient prime. Cheap operations
 /// (add/sub/negate, Galois automorphisms) act per prime; multiplication goes
-/// through the per-prime NTT; exact lifts to wide integers are provided for
-/// the few places BFV genuinely needs them (tensor scaling, decryption,
-/// digit decomposition).
+/// through the per-prime NTT; exact lifts to wide integers remain for the
+/// wide-integer oracle paths (BigInt multiply, decryption, noise metering
+/// and power-of-two digit decomposition).
 ///
 //===----------------------------------------------------------------------===//
 

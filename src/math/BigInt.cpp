@@ -36,6 +36,15 @@ BigInt BigInt::fromI64(int64_t V) {
   return R;
 }
 
+BigInt BigInt::fromWords(const uint64_t *Limbs, unsigned Count) {
+  assert(Count <= MaxWords && "value exceeds BigInt capacity");
+  BigInt R;
+  std::memcpy(R.Words, Limbs, Count * sizeof(uint64_t));
+  R.Size = Count;
+  R.normalize();
+  return R;
+}
+
 unsigned BigInt::bitLength() const {
   if (Size == 0)
     return 0;

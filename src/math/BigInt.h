@@ -41,6 +41,13 @@ public:
   /// Constructs from a signed word.
   static BigInt fromI64(int64_t V);
 
+  /// Constructs a non-negative value from \p Count little-endian limbs
+  /// (Count <= MaxWords).
+  static BigInt fromWords(const uint64_t *Limbs, unsigned Count);
+
+  /// Limb \p I of the magnitude, little-endian; 0 past the top limb.
+  uint64_t word(unsigned I) const { return I < Size ? Words[I] : 0; }
+
   bool isZero() const { return Size == 0; }
   bool isNegative() const { return Negative; }
 

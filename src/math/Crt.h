@@ -7,9 +7,12 @@
 /// \file
 /// CRT residue-number-system support. The BFV coefficient modulus Q is a
 /// product of word-sized NTT primes; ring elements live as per-prime residue
-/// vectors, and CrtBasis converts between residues and exact wide integers
-/// for the operations that need them (tensor-product scaling, decryption,
-/// key-switch digit decomposition, noise measurement).
+/// vectors. Every per-call step works on those residues directly: fast base
+/// conversion (RnsBaseConverter), the multiply's scale-and-round
+/// (RnsScaleRounder) and the noise meter's word-array composition
+/// (CrtBasis::maxCenteredMagnitude). Wide integers (CrtBasis::reconstruct
+/// and friends) remain only for the wide-integer oracle paths and for the
+/// one-time constants of key and context setup.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -48,6 +51,18 @@ public:
   /// Reconstructs the centered representative in (-Q/2, Q/2].
   BigInt reconstructCentered(const std::vector<uint64_t> &Residues) const;
 
+  /// The largest |r| over the coefficients j of \p Residues (indexed
+  /// [prime][coefficient], as RnsBaseConverter takes them), where r is the
+  /// centered representative of Scale * x_j mod Q: the wide-integer-free
+  /// form of max_j |reconstructCentered(Scale * x_j)|. Each value is
+  /// composed exactly in machine words, S = sum_i c_i * (Q/q_i) with
+  /// c_i = [x_i * Scale * (Q/q_i)^-1]_{q_i} (Scale folded into the Shoup
+  /// constant, so one multiply per residue), reduced by subtracting Q while
+  /// S >= Q, and |r| = min(S, Q - S). Only the maximum becomes a BigInt.
+  BigInt maxCenteredMagnitude(
+      const std::vector<std::vector<uint64_t>> &Residues,
+      uint64_t Scale) const;
+
   /// (Q / q_i) mod q_i inverse table, used by the fast base converter.
   const std::vector<uint64_t> &invPunctured() const { return InvPunctured; }
   /// Q / q_i as wide integers.
@@ -63,6 +78,12 @@ private:
   std::vector<BigInt> PuncturedProducts;
   /// InvPunctured[i] = (Q / q_i)^-1 mod q_i.
   std::vector<uint64_t> InvPunctured;
+  /// Little-endian word arrays for maxCenteredMagnitude, each Limbs words:
+  /// enough for sums of k terms below Q. PunctLimbs holds Q/q_i at offset
+  /// i * Limbs.
+  unsigned Limbs = 0;
+  std::vector<uint64_t> PunctLimbs;
+  std::vector<uint64_t> QLimbs;
 };
 
 /// Fast base conversion between RNS bases (the BEHZ/HPS building block):
@@ -119,6 +140,58 @@ private:
   template <bool Exact>
   void convertImpl(const std::vector<std::vector<uint64_t>> &In,
                    std::vector<std::vector<uint64_t>> &Out) const;
+};
+
+/// The BFV multiply's scale-and-round in one pass: given the residues of x
+/// over a source basis B = prod p_j, with x taken centered and |x| / B far
+/// below 1/2 (a BFV tensor coefficient stays under 2^-9), produces the
+/// residues of round(t * x / Q) over a target basis Q = prod q_i, with no
+/// wide integers and no detour through a third basis. Per coefficient:
+///
+///   b_j = [x_j * (B/p_j)^-1]_{p_j},  alpha = round(sum_j b_j / p_j),
+///   x = sum_j b_j * (B/p_j) - alpha * B,
+///   t * x / Q = sum_j b_j * (I_j + F_j) - (C_alpha - G_alpha),
+///
+/// where t * (B/p_j) / Q = I_j + F_j and alpha * t * B / Q = C_alpha - G_alpha
+/// split into integers I, C and fractions F in [0, 1), G in (0, 1], all
+/// precomputed once per basis pair. So
+///
+///   round(t * x / Q) = sum_j b_j * I_j - C_alpha
+///                      + round(sum_j b_j * F_j + G_alpha),
+///
+/// whose integer terms reduce mod each q_i with one 128-bit accumulation.
+/// alpha in double precision is exact: sum_j b_j / p_j = alpha + x / B sits
+/// 1/2 - |x| / B from a rounding boundary, far beyond the estimate's
+/// ~k * 2^-52 error. The fractions are kept to 128 bits and summed in
+/// 64.64 fixed point, which errs by under 2^-62, so the result is exactly
+/// round(t * x / Q) unless t * x / Q sits within 2^-62 of a half-integer.
+class RnsScaleRounder {
+public:
+  RnsScaleRounder(const CrtBasis &From, const CrtBasis &To, uint64_t T);
+
+  /// Maps per-source-prime residue vectors of x (all of equal length) to
+  /// per-target-prime residue vectors of round(t * x / Q). Out is resized.
+  void scaleAndRound(const std::vector<std::vector<uint64_t>> &In,
+                     std::vector<std::vector<uint64_t>> &Out) const;
+
+private:
+  std::vector<uint64_t> SrcPrimes;
+  std::vector<uint64_t> TgtPrimes;
+  /// (B/p_j)^-1 mod p_j with Shoup pair, and 1.0 / p_j.
+  std::vector<uint64_t> InvPunct;
+  std::vector<uint64_t> InvPunctShoup;
+  std::vector<double> InvSrcPrime;
+  /// F_j as 128-bit fixed point: floor(F_j * 2^128) = FracHi[j] * 2^64 +
+  /// FracLo[j].
+  std::vector<uint64_t> FracHi;
+  std::vector<uint64_t> FracLo;
+  /// IntModTgt[i][j] = I_j mod q_i (target-major, like the converter's).
+  std::vector<std::vector<uint64_t>> IntModTgt;
+  std::vector<BarrettReducer> TgtRed;
+  /// For alpha in [0, k]: CModTgt[alpha][i] = C_alpha mod q_i and
+  /// GFixed[alpha] = floor(G_alpha * 2^64).
+  std::vector<std::vector<uint64_t>> CModTgt;
+  std::vector<unsigned __int128> GFixed;
 };
 
 } // namespace porcupine

@@ -32,8 +32,13 @@ struct PlainConstant {
 
   bool isSplat() const { return Values.size() == 1; }
 
-  /// Value at slot \p I (splats broadcast).
-  int64_t at(size_t I) const { return isSplat() ? Values[0] : Values[I]; }
+  /// Value at slot \p I (splats broadcast). A full vector reads 0 past its
+  /// stored values, as the encoders fill the rest of the row.
+  int64_t at(size_t I) const {
+    if (isSplat())
+      return Values[0];
+    return I < Values.size() ? Values[I] : 0;
+  }
 
   bool operator==(const PlainConstant &RHS) const {
     return Values == RHS.Values;

@@ -26,7 +26,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <string>
+#include <utility>
 #include <vector>
 
 using namespace porcupine;
@@ -44,9 +47,11 @@ BfvParams rnsParams() {
   return P;
 }
 
-struct RnsFixture : public ::testing::Test {
-  RnsFixture()
-      : Ctx(rnsParams()), R(testSeed(0)), Keygen(Ctx, R),
+/// One parameter set with keys, both evaluators and both decryptors: the
+/// RNS hot path and the BigInt oracle side by side.
+struct BothPaths {
+  BothPaths(const BfvParams &Params, uint64_t Seed)
+      : Ctx(Params), R(Seed), Keygen(Ctx, R),
         Enc(Ctx, Keygen.createPublicKey(), R),
         DecRns(Ctx, Keygen.secretKey(), /*UseRnsPath=*/true),
         DecBig(Ctx, Keygen.secretKey(), /*UseRnsPath=*/false),
@@ -72,34 +77,112 @@ struct RnsFixture : public ::testing::Test {
   BatchEncoder Encoder;
 };
 
+struct RnsFixture : public ::testing::Test, public BothPaths {
+  RnsFixture() : BothPaths(rnsParams(), testSeed(0)) {}
+};
+
+/// The contexts the serving stack runs: BfvContext::forMultDepth at depth
+/// 1, 2 and 4 (N = 4096 with three primes, N = 8192 with four and five).
+class ServingDepth : public ::testing::TestWithParam<unsigned> {};
+
+/// The number of residues in which \p X and \p Y differ once both are in
+/// coefficient form (every residue counts when the shapes differ).
+static size_t residueDiffs(const BfvContext &Ctx, Ciphertext X,
+                           Ciphertext Y) {
+  if (X.size() != Y.size())
+    return std::max(X.size(), Y.size()) * Ctx.coeffBasis().count() *
+           Ctx.polyDegree();
+  size_t Diffs = 0;
+  for (size_t C = 0; C < X.size(); ++C) {
+    X[C].ensureCoeff(Ctx);
+    Y[C].ensureCoeff(Ctx);
+    for (size_t I = 0; I < X[C].primeCount(); ++I)
+      for (size_t J = 0; J < Ctx.polyDegree(); ++J)
+        Diffs += X[C].residues(I)[J] != Y[C].residues(I)[J];
+  }
+  return Diffs;
+}
+
 //===----------------------------------------------------------------------===//
 // Differential: RNS hot path vs BigInt oracle
 //===----------------------------------------------------------------------===//
 
-TEST_F(RnsFixture, MultiplyMatchesBigIntOracle) {
-  SeedReporter Report(testSeedBase());
-  for (int Round = 0; Round < 4; ++Round) {
-    auto U = randomSlots(), V = randomSlots();
-    auto CtU = encryptSlots(U), CtV = encryptSlots(V);
+TEST_P(ServingDepth, MultiplyMatchesBigIntOracle) {
+  uint64_t Seed = testSeed(4);
+  SeedReporter Report(Seed);
+  BothPaths P(BfvContext::paramsForMultDepth(GetParam()), Seed);
+  uint64_t T = P.Ctx.plainModulus();
+  auto U = P.randomSlots(), V = P.randomSlots();
+  Ciphertext A = P.encryptSlots(U), B = P.encryptSlots(V);
+  Ciphertext CopyOfA = A;
+  Ciphertext NttFormA = A;
+  for (RingPoly &Component : NttFormA.Components)
+    Component.toNtt(P.Ctx);
 
-    Ciphertext ProdRns = EvalRns.multiply(CtU, CtV);
-    Ciphertext ProdBig = EvalBig.multiply(CtU, CtV);
+  // Both pipelines compute round(t * e / Q) of the same exact tensor e, so
+  // the RNS product equals the oracle's residue for residue: for distinct
+  // operands, for an NTT-form operand, and for a square whether it comes
+  // in as one object (the shared-operand path) or as two equal ones.
+  Ciphertext Product = P.EvalRns.multiply(A, B);
+  Ciphertext ProductBig = P.EvalBig.multiply(A, B);
+  Ciphertext Square = P.EvalRns.multiply(A, A);
+  Ciphertext SquareBig = P.EvalBig.multiply(A, A);
+  EXPECT_EQ(residueDiffs(P.Ctx, Product, ProductBig), 0u);
+  EXPECT_EQ(residueDiffs(P.Ctx, P.EvalRns.multiply(NttFormA, B), ProductBig),
+            0u);
+  EXPECT_EQ(residueDiffs(P.Ctx, Square, SquareBig), 0u);
+  EXPECT_EQ(residueDiffs(P.Ctx, P.EvalRns.multiply(A, CopyOfA), SquareBig),
+            0u);
 
-    // The two tensor pipelines may differ by scheme noise in the ciphertext
-    // bits, but both decryptors must read back the same plaintext bytes
-    // from either result.
-    Plaintext Expected = Encoder.encode([&] {
-      std::vector<uint64_t> W(U.size());
-      for (size_t I = 0; I < U.size(); ++I)
-        W[I] = U[I] * V[I] % Ctx.plainModulus();
-      return W;
-    }());
-    EXPECT_EQ(DecRns.decrypt(ProdRns), Expected);
-    EXPECT_EQ(DecBig.decrypt(ProdRns), Expected);
-    EXPECT_EQ(DecRns.decrypt(ProdBig), Expected);
-    EXPECT_EQ(DecBig.decrypt(ProdBig), Expected);
+  std::vector<uint64_t> UV(U.size()), UU(U.size());
+  for (size_t I = 0; I < U.size(); ++I) {
+    UV[I] = U[I] * V[I] % T;
+    UU[I] = U[I] * U[I] % T;
   }
+  EXPECT_EQ(P.Encoder.decode(P.DecRns.decrypt(Product)), UV);
+  EXPECT_EQ(P.Encoder.decode(P.DecRns.decrypt(Square)), UU);
 }
+
+TEST_P(ServingDepth, NoiseBudgetMatchesBigIntOracle) {
+  uint64_t Seed = testSeed(5);
+  SeedReporter Report(Seed);
+  BothPaths P(BfvContext::paramsForMultDepth(GetParam()), Seed);
+  RelinKeys Rlk = P.Keygen.createRelinKeys();
+  GaloisKeys Gk = P.Keygen.createGaloisKeys({1});
+  auto U = P.randomSlots(), V = P.randomSlots();
+  Ciphertext Fresh = P.encryptSlots(U);
+  Ciphertext Product = P.EvalRns.multiply(Fresh, P.encryptSlots(V));
+  Ciphertext NttForm = P.EvalRns.multiplyPlain(Fresh, P.Encoder.encode(V));
+  Ciphertext Rotated = P.EvalRns.rotateRows(Fresh, 1, Gk);
+  ASSERT_EQ(Product.size(), 3u);
+  ASSERT_TRUE(NttForm[0].isNtt());
+  ASSERT_TRUE(Rotated[0].isNtt());
+  // All-zero: c(s) = 0, so no coefficient carries noise at all.
+  Ciphertext Zero;
+  Zero.Components = {RingPoly::zero(P.Ctx), RingPoly::zero(P.Ctx)};
+
+  // The word composition finds the same maximum numerator as the BigInt
+  // lift, and log2Magnitude turns both into the same double.
+  const std::pair<const char *, Ciphertext> Cases[] = {
+      {"fresh", Fresh},
+      {"multiplied", Product},
+      {"relinearized", P.EvalRns.relinearize(Product, Rlk)},
+      {"ntt-form", NttForm},
+      {"rotated", Rotated},
+      {"zero", Zero},
+  };
+  for (const auto &[Name, Ct] : Cases)
+    EXPECT_EQ(P.DecRns.invariantNoiseBudget(Ct),
+              P.DecBig.invariantNoiseBudget(Ct))
+        << Name;
+  EXPECT_EQ(P.DecRns.invariantNoiseBudget(Zero),
+            P.Ctx.coeffModulus().log2Magnitude() - 1.0);
+}
+
+INSTANTIATE_TEST_SUITE_P(Serving, ServingDepth, ::testing::Values(1u, 2u, 4u),
+                         [](const auto &Info) {
+                           return "depth" + std::to_string(Info.param);
+                         });
 
 TEST_F(RnsFixture, RelinearizeMatchesAcrossGadgets) {
   SeedReporter Report(testSeedBase());
@@ -512,7 +595,7 @@ TEST(RnsBaseConversion, RoundTripThroughAuxBasisIsIdentity) {
 
   std::vector<std::vector<uint64_t>> Mid, Back;
   Ctx.coeffToAux().convertExact(In, Mid);
-  Ctx.auxToCoeff().convertExact(Mid, Back);
+  RnsBaseConverter(Ctx.auxBasis(), Ctx.coeffBasis()).convertExact(Mid, Back);
   EXPECT_EQ(Back, In);
 }
 

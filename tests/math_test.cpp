@@ -447,6 +447,71 @@ TEST(Crt, Single63BitPrimeBasis) {
   EXPECT_EQ(Basis.reconstruct(Basis.decompose(X)), X);
 }
 
+TEST(Crt, MaxCenteredMagnitudeMatchesReconstruct) {
+  // The word-array composition must return exactly the largest
+  // |reconstructCentered(Scale * x)| over a batch of coefficients: at the
+  // centered extremes +-(Q-1)/2, at 0, and over random values, for the
+  // plain composition and with the noise meter's t folded in. Bases: the
+  // shapes of the depth-1 and depth-4 serving moduli, the widest primes
+  // the ring supports, and a 255-bit Q whose word sums need a limb beyond
+  // Q's own four.
+  const uint64_t T = 65537;
+  std::vector<std::vector<uint64_t>> Bases = {
+      generateNttPrimes(36, 2 * 4096, 3),
+      generateNttPrimes(44, 2 * 8192, 5),
+      generateNttPrimes(62, 2 * 1024, 2),
+      generateNttPrimes(51, 2 * 1024, 5),
+  };
+  Rng R(19);
+  for (const auto &Primes : Bases) {
+    CrtBasis Basis(Primes);
+    const BigInt &Q = Basis.modulus();
+    const BigInt &Half = Basis.halfModulus(); // (Q-1)/2: Q is odd.
+    BigInt MinusHalf = Q - Half;              // -(Q-1)/2 mod Q.
+
+    // One batch per row: the extremes alone, together, and mixed with
+    // random values.
+    std::vector<std::vector<BigInt>> Batches = {
+        {BigInt()},
+        {Half},
+        {MinusHalf},
+        {BigInt(), Half, MinusHalf, BigInt::fromU64(1), Q - BigInt::fromU64(1)},
+    };
+    std::vector<BigInt> Random;
+    for (int I = 0; I < 64; ++I) {
+      std::vector<uint64_t> Res;
+      for (uint64_t P : Primes)
+        Res.push_back(R.below(P));
+      Random.push_back(Basis.reconstruct(Res));
+    }
+    Batches.push_back(Random);
+    Random.push_back(MinusHalf);
+    Batches.push_back(Random);
+
+    for (uint64_t Scale : {uint64_t(1), T}) {
+      for (const auto &Batch : Batches) {
+        std::vector<std::vector<uint64_t>> Residues(Primes.size());
+        BigInt Expected;
+        for (const BigInt &X : Batch) {
+          std::vector<uint64_t> Res = Basis.decompose(X);
+          for (size_t I = 0; I < Primes.size(); ++I)
+            Residues[I].push_back(Res[I]);
+          BigInt Quot, Scaled;
+          X.mulWord(Scale).divMod(Q, Quot, Scaled);
+          BigInt C = Basis.reconstructCentered(Basis.decompose(Scaled));
+          if (C.isNegative())
+            C = -C;
+          if (C > Expected)
+            Expected = C;
+        }
+        EXPECT_EQ(Basis.maxCenteredMagnitude(Residues, Scale), Expected)
+            << Primes.size() << " primes, scale " << Scale << ", "
+            << Batch.size() << " values";
+      }
+    }
+  }
+}
+
 } // namespace
 
 namespace {

@@ -71,6 +71,24 @@ TEST(Interpreter, PlainOperandSplatAndVector) {
   EXPECT_EQ(Out, (SlotVector{12, 24, 36}));
 }
 
+TEST(Interpreter, FullVectorConstantReadsZeroPastItsValues) {
+  // A program wider than its full-vector constant (as when a kernel is
+  // widened): slots past the stored values read 0, as the encoders fill
+  // them, while a splat still reaches every slot.
+  Program P;
+  P.NumInputs = 1;
+  P.VectorSize = 6;
+  int Vec = P.internConstant(PlainConstant{{10, 20, 30}});
+  int Splat = P.internConstant(PlainConstant{{2}});
+  int Sum = P.append(Instr::ctPt(Opcode::AddCtPt, 0, Vec));
+  int Prod = P.append(Instr::ctPt(Opcode::MulCtPt, Sum, Vec));
+  P.append(Instr::ctPt(Opcode::SubCtPt, Prod, Splat));
+  auto Values = interpretAll(P, {{1, 2, 3, 4, 5, 6}}, T);
+  EXPECT_EQ(Values[Sum], (SlotVector{11, 22, 33, 4, 5, 6}));
+  EXPECT_EQ(Values[Prod], (SlotVector{110, 440, 990, 0, 0, 0}));
+  EXPECT_EQ(Values.back(), (SlotVector{108, 438, 988, T - 2, T - 2, T - 2}));
+}
+
 TEST(Interpreter, NegativePlainConstantsWrap) {
   Program P;
   P.NumInputs = 1;
