@@ -8,7 +8,8 @@
 /// Times every evaluator primitive the cost model prices (add, multiply,
 /// relinearize, rotate, ...) plus the kernels underneath them (NTT, fast
 /// base conversion) on the depth-1 serving parameters, and prints one JSON
-/// object. tools/bench.sh embeds it as the snapshot's "microbench" section;
+/// object, naming the NTT path (AVX-512 IFMA or scalar) the host ran.
+/// tools/bench.sh embeds it as the snapshot's "microbench" section;
 /// tools/bench_compare.py gates the mul/relin/rotate numbers against the
 /// committed baseline. The same numbers seed quill::LatencyTable's
 /// defaults — re-run this after touching the BFV hot paths and keep the
@@ -104,6 +105,9 @@ int main(int Argc, char **Argv) {
   std::printf("  \"schema\": \"bfv-microbench/1\",\n");
   std::printf("  \"poly_degree\": %zu,\n", Ctx.polyDegree());
   std::printf("  \"coeff_modulus_bits\": %u,\n", Ctx.coeffModulusBits());
+  // Hosts without AVX-512 IFMA run the scalar butterflies; say which ran.
+  std::printf("  \"ntt_path\": \"%s\",\n",
+              Ctx.coeffNtt().front().vectorized() ? "avx512ifma" : "scalar");
   std::printf("  \"repeats\": %d,\n", Repeats);
   std::printf("  \"ops_us\": {\n");
   std::printf("    \"add_ct_ct\": %.1f,\n", AddUs);

@@ -35,8 +35,10 @@ CrtBasis BfvContext::makeAuxBasis(size_t N, const CrtBasis &Coeff) {
     ++NeedBits;
   // A b-bit prime is at least 2^(b-1), so ceil(NeedBits / (b-1)) primes
   // always reach the target product (NeedBits already carries an 8-bit
-  // margin of its own).
-  unsigned PrimeBits = 55;
+  // margin of its own). 50-bit primes keep the auxiliary transforms on the
+  // IFMA52 vector NTT (it needs P < 2^50), at the price of one more prime
+  // at N = 8192 than 55-bit ones would need.
+  unsigned PrimeBits = 50;
   unsigned Count = (NeedBits + PrimeBits - 2) / (PrimeBits - 1);
   // Exclude the coefficient primes so bases stay coprime (not strictly
   // required, but keeps reasoning simple).

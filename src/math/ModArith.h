@@ -20,18 +20,23 @@
 namespace porcupine {
 
 /// Adds two residues modulo \p Q. Operands must already be reduced.
+/// Comparing A with Q - B instead of testing A + B never forms a sum that
+/// can wrap, so every Q up to 2^64 - 1 works, and the one comparison
+/// compiles to a conditional move rather than a branch that mispredicts on
+/// about half of random residues.
 inline uint64_t addMod(uint64_t A, uint64_t B, uint64_t Q) {
   assert(A < Q && B < Q && "operands must be reduced");
-  uint64_t S = A + B; // May wrap for Q > 2^63; the test below handles it.
-  if (S < A || S >= Q)
-    S -= Q;
-  return S;
+  uint64_t Gap = Q - B;
+  return A >= Gap ? A - Gap : A + B;
 }
 
 /// Subtracts \p B from \p A modulo \p Q. Operands must already be reduced.
+/// Branch-free: the wrapped difference gets Q back through a mask, valid for
+/// every Q up to 2^64 - 1.
 inline uint64_t subMod(uint64_t A, uint64_t B, uint64_t Q) {
   assert(A < Q && B < Q && "operands must be reduced");
-  return A >= B ? A - B : A + Q - B;
+  uint64_t D = A - B;
+  return D + (Q & -static_cast<uint64_t>(A < B));
 }
 
 /// Negates \p A modulo \p Q.

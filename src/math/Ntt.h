@@ -10,6 +10,12 @@
 /// libraries. The transform maps Z_P[x]/(x^N + 1) to its evaluation
 /// representation, making ring multiplication pointwise.
 ///
+/// The butterflies come in two implementations with bit-identical outputs:
+/// scalar 64-bit words, and AVX-512 IFMA52 vectors that run eight 52-bit
+/// butterflies per instruction. Each table picks one once, at construction,
+/// from the CPU, the length and the modulus; only tests ask for the scalar
+/// one on a CPU that could run the vector one.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef PORCUPINE_MATH_NTT_H
@@ -29,11 +35,16 @@ namespace porcupine {
 class NttTables {
 public:
   /// Builds tables for transform length \p N (a power of two) modulo prime
-  /// \p P.
-  NttTables(size_t N, uint64_t P);
+  /// \p P. The transforms take the AVX-512 IFMA52 path when P < 2^50,
+  /// N >= 16 and the CPU has avx512f and avx512ifma; \p AllowVector false
+  /// keeps them scalar, the oracle the vector path is tested against.
+  NttTables(size_t N, uint64_t P, bool AllowVector = true);
 
   size_t size() const { return N; }
   uint64_t modulus() const { return P; }
+
+  /// Whether the transforms run the AVX-512 IFMA52 butterflies.
+  bool vectorized() const { return Vector; }
 
   /// In-place forward negacyclic NTT. Input in natural coefficient order;
   /// output in bit-reversed evaluation order (matching inverseTransform).
@@ -56,8 +67,11 @@ private:
   size_t N;
   unsigned LogN;
   uint64_t P;
+  bool Vector = false;
   /// Psi^bitrev(i) where Psi is a primitive 2N-th root of unity, paired with
   /// its Shoup precomputation floor(W * 2^64 / P) for fast modular multiply.
+  /// The vector path derives its 52-bit Shoup words, floor(W * 2^52 / P),
+  /// by shifting these right by 12, so it needs no tables of its own.
   std::vector<uint64_t> PsiBitRev;
   std::vector<uint64_t> PsiBitRevShoup;
   /// Psi^-bitrev(i), with Shoup pairs.

@@ -179,6 +179,77 @@ TEST_P(ServingDepth, NoiseBudgetMatchesBigIntOracle) {
             P.Ctx.coeffModulus().log2Magnitude() - 1.0);
 }
 
+/// FNV-1a over the component count and every residue of \p Ct, taken in
+/// coefficient form so the digest names the ciphertext, not its form.
+static uint64_t residueDigest(const BfvContext &Ctx, Ciphertext Ct) {
+  uint64_t H = 0xcbf29ce484222325ull;
+  auto Mix = [&H](uint64_t V) {
+    for (int Byte = 0; Byte < 8; ++Byte) {
+      H ^= (V >> (8 * Byte)) & 0xff;
+      H *= 0x100000001b3ull;
+    }
+  };
+  Mix(Ct.size());
+  for (RingPoly &Component : Ct.Components) {
+    Component.ensureCoeff(Ctx);
+    for (size_t I = 0; I < Component.primeCount(); ++I)
+      for (uint64_t V : Component.residues(I))
+        Mix(V);
+  }
+  return H;
+}
+
+TEST_P(ServingDepth, CiphertextsMatchGoldenDigests) {
+  // A fixed-seed chain through every transform-heavy operation, pinned to
+  // digests recorded with the scalar NTT and the 55-bit auxiliary basis.
+  // The NTT kernels and the auxiliary primes may change; a ciphertext may
+  // not. The seed is deliberately not testSeed(): the goldens are for one
+  // input only.
+  struct Golden {
+    unsigned Depth;
+    uint64_t Product, Square, Relin, Rotated, PlainProduct;
+  };
+  static const Golden Goldens[] = {
+      {1, 0x97aef037be657281ull, 0x40497baff4cc8129ull, 0xb6701362cddcff41ull,
+       0x1d6eb5b89b8bb0d3ull, 0x6c03292a87b323b6ull},
+      {2, 0xcad13155cc0568e1ull, 0x01144886b08baac6ull, 0x0cd4dc035d381687ull,
+       0x5d334a49a7ecc7bfull, 0xe17c777636a1c4f1ull},
+      {4, 0x02e273bf2cdcf6aaull, 0xc86c3644c07c1793ull, 0x58d9c458eaea20feull,
+       0xb65a8c5e1d761ed0ull, 0x5ddb55481d2a91f2ull},
+  };
+  const Golden *Want = nullptr;
+  for (const Golden &G : Goldens)
+    if (G.Depth == GetParam())
+      Want = &G;
+  ASSERT_NE(Want, nullptr);
+
+  BfvContext Ctx = BfvContext::forMultDepth(GetParam());
+  Rng R(0x601dd16e57ull);
+  KeyGenerator Keygen(Ctx, R);
+  Encryptor Enc(Ctx, Keygen.createPublicKey(), R);
+  Evaluator Eval(Ctx);
+  BatchEncoder Encoder(Ctx);
+  RelinKeys Rlk = Keygen.createRelinKeys();
+  GaloisKeys Gk = Keygen.createGaloisKeys({1});
+  auto Slots = [&] {
+    return R.vectorBelow(Ctx.plainModulus(), Ctx.polyDegree());
+  };
+  Ciphertext A = Enc.encrypt(Encoder.encode(Slots()));
+  Ciphertext B = Enc.encrypt(Encoder.encode(Slots()));
+  Plaintext W = Encoder.encode(Slots());
+
+  Ciphertext Product = Eval.multiply(A, B);
+  Ciphertext Square = Eval.multiply(A, A);
+  Ciphertext Relin = Eval.relinearize(Product, Rlk);
+  Ciphertext Rotated = Eval.rotateRows(Relin, 1, Gk);
+  Ciphertext PlainProduct = Eval.multiplyPlain(Rotated, W);
+  EXPECT_EQ(residueDigest(Ctx, Product), Want->Product);
+  EXPECT_EQ(residueDigest(Ctx, Square), Want->Square);
+  EXPECT_EQ(residueDigest(Ctx, Relin), Want->Relin);
+  EXPECT_EQ(residueDigest(Ctx, Rotated), Want->Rotated);
+  EXPECT_EQ(residueDigest(Ctx, PlainProduct), Want->PlainProduct);
+}
+
 INSTANTIATE_TEST_SUITE_P(Serving, ServingDepth, ::testing::Values(1u, 2u, 4u),
                          [](const auto &Info) {
                            return "depth" + std::to_string(Info.param);

@@ -4,6 +4,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "bfv/BfvContext.h"
 #include "math/BigInt.h"
 #include "math/Crt.h"
 #include "math/ModArith.h"
@@ -22,16 +23,29 @@ namespace {
 //===----------------------------------------------------------------------===//
 
 TEST(ModArith, AddSubNegAgainstInt128Oracle) {
+  auto Check = [](uint64_t A, uint64_t B, uint64_t Q) {
+    EXPECT_EQ(addMod(A, B, Q),
+              static_cast<uint64_t>((static_cast<unsigned __int128>(A) + B) % Q))
+        << A << " + " << B << " mod " << Q;
+    EXPECT_EQ(subMod(A, B, Q),
+              static_cast<uint64_t>(
+                  (static_cast<unsigned __int128>(A) + Q - B) % Q))
+        << A << " - " << B << " mod " << Q;
+    EXPECT_EQ(addMod(A, negMod(A, Q), Q), 0u) << A << " mod " << Q;
+  };
   Rng R(1);
   for (int Trial = 0; Trial < 2000; ++Trial) {
     uint64_t Q = R.below(~0ull - 2) + 2;
-    uint64_t A = R.below(Q), B = R.below(Q);
-    EXPECT_EQ(addMod(A, B, Q),
-              static_cast<uint64_t>((static_cast<unsigned __int128>(A) + B) % Q));
-    EXPECT_EQ(subMod(A, B, Q),
-              static_cast<uint64_t>(
-                  (static_cast<unsigned __int128>(A) + Q - B) % Q));
-    EXPECT_EQ(addMod(A, negMod(A, Q), Q), 0u);
+    Check(R.below(Q), R.below(Q), Q);
+  }
+  // The boundaries, where a sum A + B would pass 2^64 for the largest
+  // moduli: both forms must stay wrap-free for every Q up to 2^64 - 1.
+  const uint64_t Moduli[] = {2, 3, (1ull << 62) + 1, (1ull << 63) + 1, ~0ull};
+  for (uint64_t Q : Moduli) {
+    const uint64_t Operands[] = {0, 1, Q / 2, Q - 1};
+    for (uint64_t A : Operands)
+      for (uint64_t B : Operands)
+        Check(A, B, Q);
   }
 }
 
@@ -214,6 +228,83 @@ TEST(Ntt, BatchingPlainModulusWorks) {
   Tables.forwardTransform(Values);
   Tables.inverseTransform(Values);
   EXPECT_EQ(Values, A);
+}
+
+//===----------------------------------------------------------------------===//
+// Vector NTT
+//===----------------------------------------------------------------------===//
+
+/// Runs both transforms of \p Tables and of the scalar oracle for the same
+/// (N, P) on inputs across each transform's lazy domain — [0, 4P) forward,
+/// [0, 2P) inverse — plus the constant vectors at 0, P - 1 and the top of
+/// that domain, and expects identical outputs.
+static void expectMatchesScalar(const NttTables &Tables, Rng &R) {
+  size_t N = Tables.size();
+  uint64_t P = Tables.modulus();
+  ASSERT_TRUE(Tables.vectorized()) << "N=" << N << " P=" << P;
+  NttTables Scalar(N, P, /*AllowVector=*/false);
+  ASSERT_FALSE(Scalar.vectorized());
+  for (bool Forward : {true, false}) {
+    uint64_t Domain = (Forward ? 4 : 2) * P;
+    const std::vector<uint64_t> Inputs[] = {
+        R.vectorBelow(Domain, N), std::vector<uint64_t>(N, 0),
+        std::vector<uint64_t>(N, P - 1), std::vector<uint64_t>(N, Domain - 1)};
+    for (const auto &In : Inputs) {
+      std::vector<uint64_t> Got = In, Want = In;
+      if (Forward) {
+        Tables.forwardTransform(Got);
+        Scalar.forwardTransform(Want);
+      } else {
+        Tables.inverseTransform(Got);
+        Scalar.inverseTransform(Want);
+      }
+      EXPECT_EQ(Got, Want) << (Forward ? "forward" : "inverse")
+                           << " N=" << N << " P=" << P << " input[0]="
+                           << In[0];
+    }
+  }
+}
+
+/// Whether this CPU runs the vector path (it does for any P < 2^50 and
+/// N >= 16 when it has avx512f and avx512ifma).
+static bool hostRunsVectorNtt() {
+  return NttTables(16, generateNttPrime(49, 32)).vectorized();
+}
+
+TEST(NttVector, MatchesScalarOnEveryServingPrime) {
+  if (!hostRunsVectorNtt())
+    GTEST_SKIP() << "no avx512ifma";
+  Rng R(10);
+  for (unsigned Depth = 0; Depth <= 4; ++Depth) {
+    BfvContext Ctx = BfvContext::forMultDepth(Depth);
+    for (const NttTables &Tables : Ctx.coeffNtt())
+      expectMatchesScalar(Tables, R);
+    for (const NttTables &Tables : Ctx.auxNtt())
+      expectMatchesScalar(Tables, R);
+    expectMatchesScalar(Ctx.plainNtt(), R);
+  }
+}
+
+TEST(NttVector, MatchesScalarAt49BitPrime) {
+  if (!hostRunsVectorNtt())
+    GTEST_SKIP() << "no avx512ifma";
+  Rng R(11);
+  for (size_t N : {16, 32, 64, 1024})
+    expectMatchesScalar(NttTables(N, generateNttPrime(49, 2 * N)), R);
+}
+
+TEST(NttVector, AuxiliaryBasisFitsTheVectorPath) {
+  // The multiply's auxiliary transforms take the vector path only if every
+  // auxiliary prime is below 2^50, and the tensor stays exact only while
+  // the auxiliary modulus exceeds 2^8 * N * Q^2 (see makeAuxBasis).
+  for (unsigned Depth = 0; Depth <= 4; ++Depth) {
+    BfvContext Ctx = BfvContext::forMultDepth(Depth);
+    for (uint64_t P : Ctx.auxBasis().primes())
+      EXPECT_LT(P, 1ull << 50) << "depth " << Depth;
+    const BigInt &Q = Ctx.coeffModulus();
+    BigInt Bound = (Q * Q).mulWord(Ctx.polyDegree()).shiftLeft(8);
+    EXPECT_GT(Ctx.auxBasis().modulus(), Bound) << "depth " << Depth;
+  }
 }
 
 //===----------------------------------------------------------------------===//
