@@ -62,38 +62,24 @@ int main() {
   // Binary iris-code-style template vs probe (Hamming).
   std::vector<uint64_t> Template = {1, 0, 1, 1};
   std::vector<uint64_t> Probe = {1, 1, 1, 0};
-  auto EncTemplate = RT->encrypt(Template);
-  auto EncProbe = RT->encrypt(Probe);
-  if (!EncTemplate || !EncProbe) {
-    std::fprintf(stderr, "encryption failed\n");
+  auto Ham = RT->execute(HammingProg, {Probe, Template}, 1);
+  if (!Ham) {
+    std::fprintf(stderr, "%s\n", Ham.status().toString().c_str());
     return 1;
   }
-  auto HamOut = RT->run(HammingProg, {*EncProbe, *EncTemplate});
-  if (!HamOut) {
-    std::fprintf(stderr, "%s\n", HamOut.status().toString().c_str());
-    return 1;
-  }
-  auto Ham = RT->decrypt(*HamOut, 1);
   std::printf("encrypted Hamming distance([1 0 1 1], [1 1 1 0]) = %llu "
               "(expect 2), noise budget %.1f bits\n",
-              static_cast<unsigned long long>(Ham[0]),
-              RT->noiseBudget(*HamOut));
+              static_cast<unsigned long long>(Ham->Outputs[0]),
+              Ham->NoiseBudgetBits);
 
   // 8-dimensional feature vectors (squared L2).
   std::vector<uint64_t> FeatA = {10, 20, 30, 40, 50, 60, 70, 80};
   std::vector<uint64_t> FeatB = {12, 18, 33, 44, 50, 55, 70, 90};
-  auto EncA = RT->encrypt(FeatA);
-  auto EncB = RT->encrypt(FeatB);
-  if (!EncA || !EncB) {
-    std::fprintf(stderr, "encryption failed\n");
+  auto Dist = RT->execute(L2Prog, {FeatA, FeatB}, 1);
+  if (!Dist) {
+    std::fprintf(stderr, "%s\n", Dist.status().toString().c_str());
     return 1;
   }
-  auto L2Out = RT->run(L2Prog, {*EncA, *EncB});
-  if (!L2Out) {
-    std::fprintf(stderr, "%s\n", L2Out.status().toString().c_str());
-    return 1;
-  }
-  auto Dist = RT->decrypt(*L2Out, 1);
   uint64_t Expect = 0;
   for (size_t I = 0; I < 8; ++I) {
     int64_t D = static_cast<int64_t>(FeatA[I]) - static_cast<int64_t>(FeatB[I]);
@@ -101,9 +87,8 @@ int main() {
   }
   std::printf("encrypted squared-L2 distance = %llu (expect %llu), noise "
               "budget %.1f bits\n",
-              static_cast<unsigned long long>(Dist[0]),
-              static_cast<unsigned long long>(Expect),
-              RT->noiseBudget(*L2Out));
+              static_cast<unsigned long long>(Dist->Outputs[0]),
+              static_cast<unsigned long long>(Expect), Dist->NoiseBudgetBits);
 
-  return (Ham[0] == 2 && Dist[0] == Expect) ? 0 : 1;
+  return (Ham->Outputs[0] == 2 && Dist->Outputs[0] == Expect) ? 0 : 1;
 }

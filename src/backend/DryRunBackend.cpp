@@ -44,14 +44,7 @@ public:
 
   Expected<Value> run(const quill::Program &P,
                       const std::vector<Value> &Inputs) const override {
-    // Constants are stored at program width; PlainConstant::at() reads 0
-    // past them and splats broadcast, like the BFV encoder fills the row.
-    std::vector<SlotVector> Values;
-    Values.reserve(P.numValues());
-    for (const Value &V : Inputs)
-      Values.push_back(V.get<SlotVector>());
-    for (const Instr &I : P.Instructions)
-      Values.push_back(applyInstr(I, Values, P.Constants, State->T));
+    auto Values = interpretAll(P, rows(Inputs), State->T);
     ChargedUs += Cost.latency(P);
     return Value::wrap(std::move(Values[P.outputId()]));
   }
@@ -67,16 +60,11 @@ public:
   Expected<std::vector<std::vector<uint64_t>>>
   runWithTrace(const quill::Program &P, const std::vector<Value> &Inputs,
                size_t TraceWidth) const override {
-    std::vector<SlotVector> Values;
-    for (const Value &V : Inputs)
-      Values.push_back(V.get<SlotVector>());
-    std::vector<std::vector<uint64_t>> Trace;
-    for (const Instr &I : P.Instructions) {
-      Values.push_back(applyInstr(I, Values, P.Constants, State->T));
-      SlotVector Snap = Values.back();
+    auto Values = interpretAll(P, rows(Inputs), State->T);
+    std::vector<std::vector<uint64_t>> Trace(
+        Values.begin() + P.NumInputs, Values.end());
+    for (SlotVector &Snap : Trace)
       Snap.resize(TraceWidth);
-      Trace.push_back(std::move(Snap));
-    }
     ChargedUs += Cost.latency(P);
     return Trace;
   }
@@ -90,6 +78,16 @@ public:
   double chargedLatencyUs() const override { return ChargedUs; }
 
 private:
+  /// The session values' slot rows. Each is State->Row wide, so the
+  /// interpreter wraps rotations at the batching row, as BFV does.
+  static std::vector<SlotVector> rows(const std::vector<Value> &Inputs) {
+    std::vector<SlotVector> Rows;
+    Rows.reserve(Inputs.size());
+    for (const Value &V : Inputs)
+      Rows.push_back(V.get<SlotVector>());
+    return Rows;
+  }
+
   std::shared_ptr<const DryRunState> State;
   quill::CostModel Cost;
   mutable double ChargedUs = 0.0;

@@ -14,17 +14,11 @@ ParameterChoice porcupine::selectParameters(const quill::Program &P) {
   ParameterChoice Choice;
   Choice.MultiplicativeDepth =
       static_cast<unsigned>(quill::programMultiplicativeDepth(P));
-  // Mirror BfvContext::forMultDepth's ladder without constructing tables.
-  if (Choice.MultiplicativeDepth <= 1) {
-    Choice.PolyDegree = 4096;
-    Choice.CoeffModulusBits = 109;
-  } else if (Choice.MultiplicativeDepth <= 3) {
-    Choice.PolyDegree = 8192;
-    Choice.CoeffModulusBits = 175;
-  } else {
-    Choice.PolyDegree = 8192;
-    Choice.CoeffModulusBits = 218;
-  }
+  // BfvContext's ladder, read without constructing tables.
+  BfvParams Params = BfvContext::paramsForMultDepth(Choice.MultiplicativeDepth);
+  Choice.PolyDegree = Params.PolyDegree;
+  for (unsigned Bits : Params.CoeffPrimeBits)
+    Choice.CoeffModulusBits += Bits;
   return Choice;
 }
 

@@ -14,34 +14,21 @@
 using namespace porcupine;
 using namespace porcupine::driver;
 
-/// Runs \p P once at row width \p Row on manually packed inputs. The
-/// interpreter helpers (interpret/interpretAll) insist on VectorSize-wide
-/// inputs, so this drives applyInstr directly — legal because every
-/// opcode works at whatever width its operands have, and rotations at row
-/// width are exactly what encrypted rotate-rows does to the N/2 batching
-/// row.
-static quill::SlotVector runAtRowWidth(const quill::Program &P,
-                                       std::vector<quill::SlotVector> Rows,
-                                       uint64_t T) {
-  std::vector<quill::SlotVector> Values;
-  Values.reserve(P.numValues());
-  for (quill::SlotVector &R : Rows)
-    Values.push_back(std::move(R));
-  for (const quill::Instr &I : P.Instructions)
-    Values.push_back(quill::applyInstr(I, Values, P.Constants, T));
-  return Values[P.outputId()];
-}
-
 BatchPlan BatchPlan::analyze(const CompiledKernel &K, const KernelSpec &Spec,
                              size_t MaxBatch) {
   const quill::Program &P = K.program();
   BatchPlan Plan;
   Plan.Window = P.VectorSize;
-  Plan.Row = K.packedRowWidth();
   Plan.NumInputs = P.NumInputs;
   Plan.Mask.assign(Plan.Window, true);
   for (size_t I = 0; I < Plan.Window; ++I)
     Plan.Mask[I] = Spec.outputSlotMatters(I);
+  auto Row = K.packedRowWidth();
+  if (!Row) {
+    Plan.Note = Row.status().message();
+    return Plan;
+  }
+  Plan.Row = *Row;
 
   size_t Cap = Plan.Window ? Plan.Row / Plan.Window : 0;
   if (MaxBatch && Cap > MaxBatch)
@@ -82,7 +69,7 @@ BatchPlan BatchPlan::analyze(const CompiledKernel &K, const KernelSpec &Spec,
         for (size_t J = 0; J < Plan.Window; ++J)
           Rows[In][Kk * Plan.Window + J] = PerReq.back()[In][J];
     }
-    quill::SlotVector Packed = runAtRowWidth(P, std::move(Rows), T);
+    quill::SlotVector Packed = quill::interpret(P, Rows, T);
     for (size_t Kk = 0; Kk < Cap; ++Kk) {
       quill::SlotVector Want = quill::interpret(P, PerReq[Kk], T);
       for (size_t J = 0; J < Plan.Window; ++J) {
@@ -129,13 +116,5 @@ std::vector<uint64_t> BatchPlan::slice(const std::vector<uint64_t> &RowOut,
     if (Mask[J] && Slot < RowOut.size())
       Out[J] = RowOut[Slot];
   }
-  return Out;
-}
-
-std::vector<uint64_t> BatchPlan::maskOnly(std::vector<uint64_t> Out) const {
-  Out.resize(Window, 0);
-  for (size_t J = 0; J < Window; ++J)
-    if (!Mask[J])
-      Out[J] = 0;
   return Out;
 }

@@ -24,10 +24,10 @@
 ///     slots across window boundaries, which is why only masked slots are
 ///     (and may be) trusted.
 ///
-/// A kernel that fails either check gets capacity 1 and the server falls
-/// back to one-request-per-ciphertext; batching is an optimization, never
-/// a semantics change. pack()/slice() implement the window layout used
-/// with CompiledKernel::executePacked().
+/// A kernel that fails either check gets capacity 1 and the server serves
+/// one request per ciphertext, in window 0 of the same packed path;
+/// batching is an optimization, never a semantics change. pack()/slice()
+/// implement the window layout used with CompiledKernel::executePacked().
 ///
 //===----------------------------------------------------------------------===//
 
@@ -53,8 +53,10 @@ using RequestInputs = std::vector<std::vector<uint64_t>>;
 class BatchPlan {
 public:
   /// Analyzes \p K (compiled from \p Spec) for window batching, capping
-  /// capacity at \p MaxBatch. Never fails: kernels that cannot batch get
-  /// capacity() == 1 with the reason in note().
+  /// capacity at \p MaxBatch. Reads the row width from the kernel's
+  /// runtime, building it on first use. Never fails: kernels that cannot
+  /// batch — or whose runtime cannot be built — get capacity() == 1 with
+  /// the reason in note().
   static BatchPlan analyze(const CompiledKernel &K, const KernelSpec &Spec,
                            size_t MaxBatch);
 
@@ -63,7 +65,8 @@ public:
   bool batchable() const { return Capacity > 1; }
   /// Window width in slots (the program's VectorSize).
   size_t window() const { return Window; }
-  /// Batching-row width in slots (N/2 for the kernel's parameters).
+  /// Batching-row width in slots (the runtime's slotCount(); 0 when it
+  /// could not be built).
   size_t rowWidth() const { return Row; }
   /// Why capacity is 1 (empty when batchable).
   const std::string &note() const { return Note; }
@@ -79,11 +82,6 @@ public:
   /// carry cross-window scratch under batching).
   std::vector<uint64_t> slice(const std::vector<uint64_t> &RowOut,
                               size_t Index) const;
-
-  /// Applies the same unconstrained-slot zeroing to a plain VectorSize
-  /// output (the unbatched path), so responses are identical whether or
-  /// not a request was batched.
-  std::vector<uint64_t> maskOnly(std::vector<uint64_t> Out) const;
 
 private:
   size_t Capacity = 1;

@@ -268,45 +268,13 @@ Compiler::execute(const quill::Program &P,
   Status S = validateProgram(P, "execute");
   if (!S)
     return S;
-  if (static_cast<int>(Inputs.size()) != P.NumInputs)
-    return Status::error("execute",
-                         "program takes " + std::to_string(P.NumInputs) +
-                             " input vector(s) but got " +
-                             std::to_string(Inputs.size()));
-  std::vector<std::vector<uint64_t>> Padded = Inputs;
-  for (std::vector<uint64_t> &V : Padded) {
-    if (V.size() > P.VectorSize)
-      return Status::error("execute",
-                           "input vector of width " +
-                               std::to_string(V.size()) +
-                               " exceeds the program's vector size " +
-                               std::to_string(P.VectorSize));
-    V.resize(P.VectorSize, 0);
-  }
-
+  S = checkInputs(P.NumInputs, P.VectorSize, Inputs);
+  if (!S)
+    return S;
   auto RT = instantiate({&P});
   if (!RT)
     return RT.status();
-  std::vector<backend::Value> Enc;
-  for (const std::vector<uint64_t> &V : Padded) {
-    auto Ct = RT->encrypt(V);
-    if (!Ct)
-      return Ct.status();
-    Enc.push_back(Ct.take());
-  }
-  double ChargedBefore = RT->executor().chargedLatencyUs();
-  auto Ct = RT->run(P, Enc);
-  if (!Ct)
-    return Ct.status();
-  ExecuteOutcome Out;
-  Out.Outputs = RT->decrypt(*Ct, P.VectorSize);
-  Out.Encrypted = RT->capabilities().Encrypted;
-  if (RT->capabilities().ReportsNoiseBudget)
-    Out.NoiseBudgetBits = RT->noiseBudget(*Ct);
-  if (Out.Encrypted)
-    Out.PolyDegree = RT->polyDegree();
-  Out.ChargedLatencyUs = RT->executor().chargedLatencyUs() - ChargedBefore;
-  return Out;
+  return RT->execute(P, Inputs, P.VectorSize);
 }
 
 Expected<VerifyOutcome> Compiler::verify(const quill::Program &P,
@@ -497,6 +465,61 @@ Compiler::compile(const std::string &KernelName) const {
 //===----------------------------------------------------------------------===//
 // Runtime
 //===----------------------------------------------------------------------===//
+
+Status
+porcupine::driver::checkInputs(int NumInputs, size_t MaxWidth,
+                               const std::vector<std::vector<uint64_t>> &Inputs) {
+  if (static_cast<int>(Inputs.size()) != NumInputs)
+    return Status::error("execute", "expected " + std::to_string(NumInputs) +
+                                        " input vector(s) but got " +
+                                        std::to_string(Inputs.size()));
+  for (const std::vector<uint64_t> &V : Inputs)
+    if (V.size() > MaxWidth)
+      return Status::error("execute", "input vector of width " +
+                                          std::to_string(V.size()) +
+                                          " exceeds the vector size " +
+                                          std::to_string(MaxWidth));
+  return Status::success();
+}
+
+Expected<ExecuteOutcome>
+Runtime::execute(const quill::Program &P,
+                 const std::vector<std::vector<uint64_t>> &Inputs,
+                 size_t Width) const {
+  std::vector<backend::Value> Enc;
+  Enc.reserve(Inputs.size());
+  for (const std::vector<uint64_t> &V : Inputs) {
+    auto Ct = encrypt(V);
+    if (!Ct)
+      return Ct.status();
+    Enc.push_back(Ct.take());
+  }
+  double ChargedBefore = Exec->chargedLatencyUs();
+  auto Ct = run(P, Enc);
+  if (!Ct)
+    return Ct.status();
+  ExecuteOutcome Out;
+  Out.Encrypted = Caps.Encrypted;
+  if (Caps.ReportsNoiseBudget) {
+    // A wrapped result's noise is a centred remainder mod Q, so the meter
+    // reads a sliver above 0 bits, never 0: anything under one whole bit
+    // is exhausted.
+    Out.NoiseBudgetBits = noiseBudget(*Ct);
+    if (Out.NoiseBudgetBits < 1.0)
+      return Status::error(
+          "execute",
+          "noise budget exhausted (" + std::to_string(Out.NoiseBudgetBits) +
+              " bits left) by a program of multiplicative depth " +
+              std::to_string(quill::programMultiplicativeDepth(P)) +
+              " at N=" + std::to_string(polyDegree()) +
+              "; the decrypted result would be wrong");
+  }
+  Out.Outputs = decrypt(*Ct, Width);
+  if (Out.Encrypted)
+    Out.PolyDegree = polyDegree();
+  Out.ChargedLatencyUs = Exec->chargedLatencyUs() - ChargedBefore;
+  return Out;
+}
 
 Expected<backend::Value>
 Runtime::encrypt(const std::vector<uint64_t> &Values) const {

@@ -216,7 +216,8 @@ struct OptimizeOutcome {
 
 /// execute() stage output.
 struct ExecuteOutcome {
-  /// Decrypted (or interpreted) output slots, width = program VectorSize.
+  /// Decrypted (or interpreted) output slots: the program's VectorSize, or
+  /// the whole batching row for CompiledKernel::executePacked().
   std::vector<uint64_t> Outputs;
   bool Encrypted = false;
   /// Remaining invariant noise budget in bits (encrypted runs only).
@@ -235,6 +236,12 @@ struct VerifyOutcome {
   std::vector<std::vector<uint64_t>> Counterexample;
 };
 
+/// Checks one input set's shape: exactly \p NumInputs vectors, each at
+/// most \p MaxWidth (the vector size) slots wide — shorter vectors are
+/// zero-filled by encryption. Fails with stage "execute".
+Status checkInputs(int NumInputs, size_t MaxWidth,
+                   const std::vector<std::vector<uint64_t>> &Inputs);
+
 /// A ready-to-run execution environment for a fixed set of programs on one
 /// backend: owns the backend session (context, keys — whatever the backend
 /// needs, sized for the deepest program with Galois keys for exactly the
@@ -246,6 +253,19 @@ class Runtime {
 public:
   Runtime(Runtime &&) = default;
   Runtime &operator=(Runtime &&) = default;
+
+  /// One evaluation of \p P — the execution path every driver entry point
+  /// (Compiler::execute, CompiledKernel, Server) shares: encrypts each
+  /// input (at most slotCount() wide, zero-filled to the row), runs,
+  /// meters the noise budget when the backend reports one, and decrypts
+  /// the first \p Width slots (VectorSize, or slotCount() for a packed
+  /// row). A result whose budget fell under one whole bit would decrypt
+  /// to garbage, so it is refused with a stage "execute" error naming the
+  /// multiplicative depth and N.
+  Expected<ExecuteOutcome>
+  execute(const quill::Program &P,
+          const std::vector<std::vector<uint64_t>> &Inputs,
+          size_t Width) const;
 
   /// Encrypts one input vector (at most one batching row wide).
   Expected<backend::Value> encrypt(const std::vector<uint64_t> &Values) const;
@@ -373,7 +393,8 @@ public:
   /// One-shot end-to-end run of \p P on \p Inputs (one vector per program
   /// input, each at most VectorSize wide; values taken mod the plaintext
   /// modulus) on the options' backend — encrypted on "bfv"/"seal",
-  /// plaintext-with-charged-cost on "dryrun".
+  /// plaintext-with-charged-cost on "dryrun": validation, instantiate(),
+  /// then Runtime::execute() over VectorSize output slots.
   Expected<ExecuteOutcome>
   execute(const quill::Program &P,
           const std::vector<std::vector<uint64_t>> &Inputs) const;

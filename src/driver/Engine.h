@@ -82,9 +82,9 @@ public:
 
   /// One evaluation on the backend the kernel was compiled for
   /// (options().Backend — baked into the cache key, so one kernel never
-  /// serves two backends): encrypt the inputs (one vector per program
-  /// input, each at most VectorSize wide, zero-padded), run, decrypt.
-  /// Thread-safe.
+  /// serves two backends): Runtime::execute() on a pooled runtime over
+  /// the inputs (one vector per program input, each at most VectorSize
+  /// wide, zero-filled). Thread-safe.
   Expected<ExecuteOutcome>
   execute(const std::vector<std::vector<uint64_t>> &Inputs) const;
 
@@ -106,14 +106,15 @@ public:
   /// — so one call serves packedRowWidth()/VectorSize requests. The
   /// outcome's Outputs carry the full decrypted row for the caller to
   /// slice. Only sound for programs Batcher::BatchPlan judged batchable
-  /// (splat constants, masked-slot validation). Thread-safe.
+  /// (splat constants, masked-slot validation), or for a single request
+  /// in window 0. Thread-safe.
   Expected<ExecuteOutcome>
   executePacked(const std::vector<std::vector<uint64_t>> &PackedInputs) const;
 
-  /// The batching-row width (N/2) of the parameters encrypted execution
-  /// instantiates for this kernel's multiplicative depth. Cheap: no
-  /// context is built.
-  size_t packedRowWidth() const;
+  /// The batching-row width (slotCount(), N/2 on "bfv") of the runtime
+  /// this kernel executes on. Leases a pooled runtime, so the first call
+  /// builds it (context and keys); fails when it cannot be built.
+  Expected<size_t> packedRowWidth() const;
 
   /// Upper bound on concurrently checked-out Runtimes (pool capacity).
   size_t runtimePoolSize() const { return PoolSize; }
@@ -150,15 +151,6 @@ private:
   /// Pops an idle Runtime, builds a new one (outside the pool lock) while
   /// under the pool size, or blocks until a lease returns.
   Expected<RuntimeLease> acquireRuntime() const;
-
-  /// Validates one input set against the program shape (no mutation).
-  Status checkInputs(const std::vector<std::vector<uint64_t>> &Inputs) const;
-  /// checkInputs() plus zero-padding every vector to the program width.
-  Status padInputs(std::vector<std::vector<uint64_t>> &Inputs) const;
-
-  /// One evaluation on an already-leased runtime.
-  Expected<ExecuteOutcome>
-  runOn(Runtime &RT, const std::vector<std::vector<uint64_t>> &Padded) const;
 
   const CompileResult Result;
   const CompileOptions Opts;

@@ -28,7 +28,6 @@
 #include "driver/Server.h"
 
 #include <algorithm>
-#include <cassert>
 
 using namespace porcupine;
 using namespace porcupine::driver;
@@ -128,21 +127,11 @@ Expected<std::future<Expected<Response>>> Server::submit(Request R) {
     return Found.status();
   }
   const kernels::KernelBundle *B = *Found;
-  if (R.Inputs.size() != static_cast<size_t>(B->Spec.numInputs())) {
+  Status Shape = checkInputs(B->Spec.numInputs(), B->Spec.vectorSize(),
+                             R.Inputs);
+  if (!Shape) {
     ++RejectsMalformed;
-    return Status::error("serve", "kernel '" + B->Spec.name() + "' takes " +
-                                      std::to_string(B->Spec.numInputs()) +
-                                      " input vector(s) but the request has " +
-                                      std::to_string(R.Inputs.size()));
-  }
-  for (const std::vector<uint64_t> &V : R.Inputs) {
-    if (V.size() > B->Spec.vectorSize()) {
-      ++RejectsMalformed;
-      return Status::error("serve",
-                           "input vector of width " + std::to_string(V.size()) +
-                               " exceeds the kernel's vector size " +
-                               std::to_string(B->Spec.vectorSize()));
-    }
+    return Shape;
   }
 
   uint64_t DeadlineUs =
@@ -275,72 +264,38 @@ void Server::serveGroup(Shard &Sh, PreparedKernel &PK,
   const std::string &KernelName = Group.front()->SpecName;
   const size_t N = Group.size();
 
-  auto UpdateEwma = [&](uint64_t ServiceUs) {
+  Clock::time_point Start = Clock::now();
+  std::vector<const RequestInputs *> Ins;
+  Ins.reserve(N);
+  for (auto &P : Group)
+    Ins.push_back(&P->Req.Inputs);
+  auto Out = PK.Kernel->executePacked(PK.Plan.pack(Ins));
+  Clock::time_point End = Clock::now();
+  {
     std::lock_guard<std::mutex> L(Sh.M);
     double &E = Sh.EwmaUs[KernelName];
-    E = E == 0.0 ? static_cast<double>(ServiceUs)
-                 : 0.7 * E + 0.3 * static_cast<double>(ServiceUs);
-  };
-
-  if (PK.Plan.batchable()) {
-    Clock::time_point Start = Clock::now();
-    std::vector<const RequestInputs *> Ins;
-    Ins.reserve(N);
+    double ServiceUs = static_cast<double>(usBetween(Start, End));
+    E = E == 0.0 ? ServiceUs : 0.7 * E + 0.3 * ServiceUs;
+  }
+  ++BatchesTotal;
+  FillUsedTotal += N;
+  FillCapacityTotal += PK.Plan.capacity();
+  if (N > 1)
+    BatchedRequestsTotal += N;
+  if (!Out) {
+    ExecFailures += N;
     for (auto &P : Group)
-      Ins.push_back(&P->Req.Inputs);
-    auto Out = PK.Kernel->executePacked(PK.Plan.pack(Ins));
-    Clock::time_point End = Clock::now();
-    UpdateEwma(usBetween(Start, End));
-    ++BatchesTotal;
-    FillUsedTotal += N;
-    FillCapacityTotal += PK.Plan.capacity();
-    if (N > 1)
-      BatchedRequestsTotal += N;
-    if (!Out) {
-      ExecFailures += N;
-      for (auto &P : Group)
-        P->Prom.set_value(Out.status());
-      return;
-    }
-    for (size_t K = 0; K < N; ++K) {
-      Pending &P = *Group[K];
-      Response Resp;
-      Resp.Outputs = PK.Plan.slice(Out->Outputs, K);
-      Resp.NoiseBudgetBits = Out->NoiseBudgetBits;
-      Resp.PolyDegree = Out->PolyDegree;
-      Resp.Batched = N > 1;
-      Resp.BatchSize = N;
-      Resp.QueueUs = usBetween(P.Enqueued, Start);
-      Resp.TotalUs = usBetween(P.Enqueued, End);
-      Resp.KernelFingerprint = PK.Kernel->fingerprint();
-      observeLatency(KernelName, Resp.TotalUs);
-      ++ServedTotal;
-      P.Prom.set_value(std::move(Resp));
-    }
+      P->Prom.set_value(Out.status());
     return;
   }
-
-  // Capacity 1: the classic one-request-per-ciphertext path.
-  for (auto &PPtr : Group) {
-    Pending &P = *PPtr;
-    Clock::time_point Start = Clock::now();
-    auto Out = PK.Kernel->execute(P.Req.Inputs);
-    Clock::time_point End = Clock::now();
-    UpdateEwma(usBetween(Start, End));
-    ++BatchesTotal;
-    ++FillUsedTotal;
-    ++FillCapacityTotal;
-    if (!Out) {
-      ++ExecFailures;
-      P.Prom.set_value(Out.status());
-      continue;
-    }
+  for (size_t K = 0; K < N; ++K) {
+    Pending &P = *Group[K];
     Response Resp;
-    Resp.Outputs = PK.Plan.maskOnly(Out->Outputs);
+    Resp.Outputs = PK.Plan.slice(Out->Outputs, K);
     Resp.NoiseBudgetBits = Out->NoiseBudgetBits;
     Resp.PolyDegree = Out->PolyDegree;
-    Resp.Batched = false;
-    Resp.BatchSize = 1;
+    Resp.Batched = N > 1;
+    Resp.BatchSize = N;
     Resp.QueueUs = usBetween(P.Enqueued, Start);
     Resp.TotalUs = usBetween(P.Enqueued, End);
     Resp.KernelFingerprint = PK.Kernel->fingerprint();

@@ -33,9 +33,10 @@
 ///   // R->Outputs[0] == 36; concurrent callers for the same tenant and
 ///   // kernel share ciphertexts automatically.
 ///
-/// Responses are deterministic regardless of batching: slots the kernel's
-/// layout leaves unconstrained are zeroed on both the batched and the
-/// fallback path. Execution runs on the backend named by the Engine's
+/// Responses are deterministic regardless of batching: every group, a lone
+/// request included, runs through CompiledKernel::executePacked() and is
+/// sliced out of its window with the slots the kernel's layout leaves
+/// unconstrained zeroed. Execution runs on the backend named by the Engine's
 /// CompileOptions (encrypted BFV by default; the keyless dry-run backend
 /// serves the same requests with plaintext semantics).
 ///
@@ -199,7 +200,8 @@ private:
 
   void shardLoop(Shard &Sh);
   /// Tenant context + Engine::get + batch plan for one request's group.
-  /// Runs outside the shard lock (may compile).
+  /// Runs outside the shard lock (may compile, and the plan builds the
+  /// kernel's first runtime).
   Expected<PreparedKernel *> prepare(Shard &Sh, const Pending &P);
   /// Pops and fails every queued request whose deadline has passed.
   /// Caller holds Sh.M.

@@ -81,17 +81,18 @@ SlotVector quill::applyInstr(const Instr &I,
   return Out;
 }
 
-std::vector<SlotVector>
-quill::interpretAll(const Program &P, const std::vector<SlotVector> &Inputs,
-                    uint64_t T) {
+std::vector<SlotVector> quill::interpretAll(const Program &P,
+                                            std::vector<SlotVector> Inputs,
+                                            uint64_t T) {
   assert(static_cast<int>(Inputs.size()) == P.NumInputs &&
          "input count mismatch");
-  std::vector<SlotVector> Values;
-  Values.reserve(P.numValues());
   for (const SlotVector &In : Inputs) {
-    assert(In.size() == P.VectorSize && "input width mismatch");
-    Values.push_back(In);
+    (void)In; // Only read by the assert.
+    assert(In.size() >= P.VectorSize && In.size() == Inputs[0].size() &&
+           "inputs must share one width of at least VectorSize");
   }
+  std::vector<SlotVector> Values = std::move(Inputs);
+  Values.reserve(P.numValues());
   for (const Instr &I : P.Instructions)
     Values.push_back(applyInstr(I, Values, P.Constants, T));
   return Values;

@@ -28,16 +28,21 @@ namespace quill {
 /// reduced mod t.
 using SlotVector = std::vector<uint64_t>;
 
-/// Evaluates \p P on \p Inputs (one SlotVector per ciphertext input, each of
-/// length P.VectorSize) with plaintext modulus \p T. Returns the output
-/// vector.
+/// Evaluates \p P on \p Inputs (one SlotVector per ciphertext input, all
+/// of one width of at least P.VectorSize; see interpretAll) with plaintext
+/// modulus \p T. Returns the output vector.
 SlotVector interpret(const Program &P, const std::vector<SlotVector> &Inputs,
                      uint64_t T);
 
 /// Evaluates and returns every intermediate value (indexed by value id);
 /// used for traces (paper Figure 7) and for incremental synthesis caching.
+/// The inputs share one width of at least P.VectorSize: at exactly
+/// VectorSize this is the program's own semantics; wider (a whole batching
+/// row) every value is that wide and rotations wrap at the row, as they do
+/// under encryption — full-vector constants read 0 past their values and
+/// splats fill the row, as the encoders do.
 std::vector<SlotVector> interpretAll(const Program &P,
-                                     const std::vector<SlotVector> &Inputs,
+                                     std::vector<SlotVector> Inputs,
                                      uint64_t T);
 
 /// Applies a single instruction given resolved operand vectors.

@@ -289,6 +289,27 @@ TEST(ParameterSelection, ContextMatchesChoice) {
   EXPECT_EQ(Ctx.polyDegree(), Choice.PolyDegree);
   EXPECT_LE(Ctx.coeffModulusBits(),
             BfvContext::maxSecureCoeffBits(Ctx.polyDegree()));
+
+  // Every rung of the ladder and past its top: an add, then Depth chained
+  // squarings. The choice reports the context that is actually built.
+  for (unsigned Depth = 0; Depth <= 6; ++Depth) {
+    Program Chain;
+    Chain.NumInputs = 1;
+    Chain.VectorSize = 4;
+    Chain.append(Instr::ctCt(Opcode::AddCtCt, 0, 0));
+    for (unsigned I = 0; I < Depth; ++I)
+      Chain.append(Instr::ctCt(Opcode::MulCtCt, Chain.outputId(),
+                               Chain.outputId()));
+    BfvContext DepthCtx = contextForProgram(Chain);
+    auto DepthChoice = selectParameters(Chain);
+    EXPECT_EQ(DepthChoice.MultiplicativeDepth, Depth);
+    EXPECT_EQ(DepthCtx.polyDegree(), DepthChoice.PolyDegree) << Depth;
+    EXPECT_EQ(DepthCtx.coeffModulusBits(), DepthChoice.CoeffModulusBits)
+        << Depth;
+    EXPECT_LE(DepthChoice.CoeffModulusBits,
+              BfvContext::maxSecureCoeffBits(DepthChoice.PolyDegree))
+        << Depth;
+  }
 }
 
 } // namespace

@@ -300,6 +300,52 @@ TEST(CompilerStages, ExecuteOnBothBundledBackends) {
   EXPECT_GT(Enc->PolyDegree, 0u);
 }
 
+/// \p Squarings chained squarings of one width-4 input (multiplicative
+/// depth \p Squarings).
+quill::Program squarings(int Squarings) {
+  quill::Program P;
+  P.NumInputs = 1;
+  P.VectorSize = 4;
+  for (int I = 0; I < Squarings; ++I)
+    P.append(quill::Instr::ctCt(quill::Opcode::MulCtCt, P.outputId(),
+                                P.outputId()));
+  return P;
+}
+
+TEST(CompilerStages, ExhaustedNoiseBudgetIsAnErrorNotGarbage) {
+  std::vector<std::vector<uint64_t>> In = {{2, 3, 5, 7}};
+  CompileOptions DryOpts;
+  DryOpts.Backend = "dryrun";
+  Compiler Dry(DryOpts);
+  Compiler Bfv; // Default backend: encrypted BFV.
+
+  // Six squarings leave a few bits at N=8192: the result is right.
+  quill::Program Six = squarings(6);
+  auto Enc6 = Bfv.execute(Six, In);
+  ASSERT_TRUE(Enc6.hasValue()) << Enc6.status().toString();
+  EXPECT_GE(Enc6->NoiseBudgetBits, 1.0);
+  auto Plain6 = Dry.execute(Six, In);
+  ASSERT_TRUE(Plain6.hasValue()) << Plain6.status().toString();
+  EXPECT_EQ(Enc6->Outputs, Plain6->Outputs);
+  EXPECT_EQ(Plain6->Outputs, quill::interpret(Six, In, T));
+
+  // Seven run the budget out: the slots would decrypt wrong, so the call
+  // fails and names the depth and the ring instead of returning them.
+  quill::Program Seven = squarings(7);
+  auto Enc7 = Bfv.execute(Seven, In);
+  ASSERT_FALSE(Enc7.hasValue());
+  EXPECT_EQ(Enc7.status().diagnostics().front().Stage, "execute");
+  const std::string Msg = Enc7.status().message();
+  EXPECT_NE(Msg.find("noise budget exhausted"), std::string::npos) << Msg;
+  EXPECT_NE(Msg.find("depth 7"), std::string::npos) << Msg;
+  EXPECT_NE(Msg.find("N=8192"), std::string::npos) << Msg;
+
+  // The plaintext backend has no noise to run out of.
+  auto Plain7 = Dry.execute(Seven, In);
+  ASSERT_TRUE(Plain7.hasValue()) << Plain7.status().toString();
+  EXPECT_EQ(Plain7->Outputs, quill::interpret(Seven, In, T));
+}
+
 TEST(CompilerStages, VerifyReportsInequivalenceAsSuccess) {
   // sub(c0, c1) is NOT the add spec; that is a successful verify() call
   // with Equivalent == false and a counterexample — not an error.

@@ -17,11 +17,13 @@
 //===----------------------------------------------------------------------===//
 
 #include "driver/Artifact.h"
+#include "driver/Batcher.h"
 #include "driver/Engine.h"
 #include "kernels/KernelRegistry.h"
 #include "kernels/Kernels.h"
 #include "quill/Interpreter.h"
 #include "support/Json.h"
+#include "support/Random.h"
 
 #include <gtest/gtest.h>
 
@@ -285,6 +287,53 @@ TEST(CompiledKernel, DryRunBackendMatchesEncryptedExecution) {
   EXPECT_GT(Plain->ChargedLatencyUs, 0.0);
   EXPECT_TRUE(Enc->Encrypted);
   EXPECT_GT(Enc->NoiseBudgetBits, 0.0);
+}
+
+TEST(CompiledKernel, EveryEntryPointAgreesOnOneCall) {
+  // Fresh runtimes from one ExecutionSeed draw the same keys and the same
+  // encryption noise, so all four entry points — each over its own fresh
+  // runtime — must return the very same outcome.
+  const KernelBundle &Dot = **KernelRegistry::builtin().find("dot product");
+  Rng R(0xd07);
+  const std::vector<std::vector<uint64_t>> In = Dot.Spec.randomInputs(R, T);
+  for (const char *Backend : {"bfv", "dryrun"}) {
+    CompileOptions Opts = bundledOptions();
+    Opts.Backend = Backend;
+    Engine E1(EngineOptions{4, 1, Opts}), E2(EngineOptions{4, 1, Opts}),
+        E3(EngineOptions{4, 1, Opts});
+    auto K1 = E1.get("dot product"), K2 = E2.get("dot product"),
+         K3 = E3.get("dot product");
+    ASSERT_TRUE(K1.hasValue() && K2.hasValue() && K3.hasValue()) << Backend;
+    const quill::Program &P = (*K1)->program();
+
+    auto Direct = Compiler(Opts).execute(P, In);
+    auto One = (*K1)->execute(In);
+    auto Many = (*K2)->executeMany({In});
+    BatchPlan Plan = BatchPlan::analyze(**K3, Dot.Spec, /*MaxBatch=*/64);
+    auto Packed = (*K3)->executePacked(Plan.pack({&In}));
+    ASSERT_TRUE(Direct.hasValue()) << Direct.status().toString();
+    ASSERT_TRUE(One.hasValue()) << One.status().toString();
+    ASSERT_TRUE(Many.hasValue()) << Many.status().toString();
+    ASSERT_TRUE(Packed.hasValue()) << Packed.status().toString();
+    ASSERT_EQ(Many->size(), 1u);
+    ASSERT_EQ(Packed->Outputs.size(), Plan.rowWidth());
+    Packed->Outputs.resize(P.VectorSize); // Window 0, unmasked.
+
+    // Slot 0 carries the dot product; the rest hold row-wide scratch.
+    EXPECT_EQ(Direct->Outputs[0], quill::interpret(P, In, T)[0]) << Backend;
+    if (Direct->Encrypted) {
+      EXPECT_EQ(Direct->PolyDegree, 4096u);
+      EXPECT_GT(Direct->NoiseBudgetBits, 1.0);
+    } else {
+      EXPECT_GT(Direct->ChargedLatencyUs, 0.0);
+    }
+    for (const ExecuteOutcome *Other : {&*One, &(*Many)[0], &*Packed}) {
+      EXPECT_EQ(Other->Outputs, Direct->Outputs) << Backend;
+      EXPECT_EQ(Other->NoiseBudgetBits, Direct->NoiseBudgetBits) << Backend;
+      EXPECT_EQ(Other->PolyDegree, Direct->PolyDegree) << Backend;
+      EXPECT_EQ(Other->ChargedLatencyUs, Direct->ChargedLatencyUs) << Backend;
+    }
+  }
 }
 
 TEST(CompiledKernel, ExecuteManyValidatesAtomicallyWithTheBatchIndex) {

@@ -4,6 +4,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "backend/ExecutorBackend.h"
 #include "quill/Analysis.h"
 #include "quill/CostModel.h"
 #include "quill/Interpreter.h"
@@ -87,6 +88,38 @@ TEST(Interpreter, FullVectorConstantReadsZeroPastItsValues) {
   EXPECT_EQ(Values[Sum], (SlotVector{11, 22, 33, 4, 5, 6}));
   EXPECT_EQ(Values[Prod], (SlotVector{110, 440, 990, 0, 0, 0}));
   EXPECT_EQ(Values.back(), (SlotVector{108, 438, 988, T - 2, T - 2, T - 2}));
+
+  // At row width: a program half as wide as the dryrun backend's row,
+  // interpreted on row-wide inputs, wraps its rotation at the row and
+  // reads its constant as the encoder fills it — the backend's own row.
+  Program Half;
+  Half.NumInputs = 1;
+  Half.VectorSize = 1024;
+  int HalfVec = Half.internConstant(PlainConstant{{10, 20, 30}});
+  int Shifted = Half.append(Instr::ctPt(Opcode::AddCtPt, 0, HalfVec));
+  int Right = Half.append(Instr::rot(Shifted, -1));
+  Half.append(Instr::ctPt(Opcode::MulCtPt, Right, HalfVec));
+  backend::SessionSpec Spec;
+  Spec.Programs = {&Half};
+  Spec.PlainModulus = T;
+  const backend::ExecutorBackend *Dry =
+      backend::BackendRegistry::builtin().find("dryrun");
+  ASSERT_NE(Dry, nullptr);
+  auto Exec = Dry->createExecutor(Spec);
+  ASSERT_TRUE(Exec.hasValue()) << Exec.status().toString();
+  const size_t Row = (*Exec)->slotCount();
+  ASSERT_EQ(Row, 2 * Half.VectorSize);
+  SlotVector In(Row);
+  for (size_t I = 0; I < Row; ++I)
+    In[I] = I + 1;
+  auto Enc = (*Exec)->encrypt(In);
+  ASSERT_TRUE(Enc.hasValue());
+  auto Out = (*Exec)->run(Half, {*Enc});
+  ASSERT_TRUE(Out.hasValue()) << Out.status().toString();
+  SlotVector Interpreted = interpret(Half, {In}, T);
+  EXPECT_EQ((*Exec)->decrypt(*Out, Row), Interpreted);
+  // Slot 0 took slot Row-1 (not VectorSize-1) across the wrap.
+  EXPECT_EQ(Interpreted[0], (Row * 10) % T);
 }
 
 TEST(Interpreter, NegativePlainConstantsWrap) {
