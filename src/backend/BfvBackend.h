@@ -27,11 +27,6 @@ public:
   BackendCapabilities capabilities() const override {
     return BackendCapabilities{};
   }
-  /// The calibrated defaults in quill::LatencyTable were measured on this
-  /// runtime (bench_bfv_microbench), so they ARE this backend's table.
-  quill::LatencyTable latencyTable() const override {
-    return quill::LatencyTable{};
-  }
   Expected<std::unique_ptr<Executor>>
   createExecutor(const SessionSpec &Spec) const override;
 };

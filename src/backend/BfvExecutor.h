@@ -20,8 +20,8 @@
 #ifndef PORCUPINE_BACKEND_BFVEXECUTOR_H
 #define PORCUPINE_BACKEND_BFVEXECUTOR_H
 
-#include "backend/ExecutorBackend.h" // requiredRotations(), the capability
-                                     // query concrete executors key off.
+#include "backend/ExecutorBackend.h" // requiredRotations(): the Galois
+                                     // keys an executor generates.
 #include "bfv/Decryptor.h"
 #include "bfv/Encryptor.h"
 #include "bfv/Evaluator.h"

@@ -29,8 +29,9 @@ struct DryRunState {
 
 class DryRunSession : public Executor {
 public:
-  explicit DryRunSession(std::shared_ptr<const DryRunState> State)
-      : State(std::move(State)), Cost(quill::LatencyTable{}) {}
+  DryRunSession(std::shared_ptr<const DryRunState> State,
+                const quill::LatencyTable &Latency)
+      : State(std::move(State)), Cost(Latency) {}
 
   Expected<Value> encrypt(const std::vector<uint64_t> &Values) const override {
     // Mirror BFV exactly: reduce mod t and occupy row-0 slots [0, size),
@@ -126,5 +127,6 @@ DryRunBackend::createExecutor(const SessionSpec &Spec) const {
                          " slots wide but the context batches only " +
                          std::to_string(State->Row));
 
-  return std::unique_ptr<Executor>(new DryRunSession(std::move(State)));
+  return std::unique_ptr<Executor>(
+      new DryRunSession(std::move(State), Spec.Latency));
 }

@@ -7,8 +7,9 @@
 /// \file
 /// The "dryrun" ExecutorBackend: plaintext Quill semantics at full
 /// batching-row width, no keys, no encryption — but every run charges the
-/// cost-model latency the program would have cost on the real runtime
-/// (Executor::chargedLatencyUs). This gives CI and porcc a fast execution
+/// cost-model latency the program would have cost on the real runtime,
+/// priced with the compile's table (SessionSpec::Latency), to
+/// Executor::chargedLatencyUs. This gives CI and porcc a fast execution
 /// mode that still exercises the whole driver/Engine/Server stack, and the
 /// second half of every cross-backend differential test: dry-run outputs
 /// must decrypt byte-equal to BFV's, including rotations that cross the
@@ -27,24 +28,10 @@ namespace backend {
 class DryRunBackend : public ExecutorBackend {
 public:
   std::string name() const override { return "dryrun"; }
+  /// Not encrypted: no keys, so a runtime instantiated for one program
+  /// set can run any program.
   BackendCapabilities capabilities() const override {
-    BackendCapabilities Caps;
-    Caps.Encrypted = false;
-    Caps.NeedsGaloisKeys = false;
-    Caps.ReportsNoiseBudget = false;
-    Caps.SupportsTrace = true;
-    return Caps;
-  }
-  /// Prices runs with the same calibrated defaults as the real runtime, so
-  /// a charged dry-run latency is comparable to a measured BFV one.
-  quill::LatencyTable latencyTable() const override {
-    return quill::LatencyTable{};
-  }
-  /// No keys — so no rotation set to prepare, and a runtime instantiated
-  /// for one program set can run any program.
-  std::vector<int> requiredRotations(
-      const std::vector<const quill::Program *> &) const override {
-    return {};
+    return BackendCapabilities{/*Encrypted=*/false};
   }
   Expected<std::unique_ptr<Executor>>
   createExecutor(const SessionSpec &Spec) const override;

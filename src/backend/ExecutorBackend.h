@@ -16,8 +16,8 @@
 /// Two-level shape:
 ///
 ///   - `ExecutorBackend` is the registered factory/descriptor: a name (the
-///     `CompileOptions::Backend` key), capability bits, the latency table
-///     that prices the cost model on this backend, and `createExecutor()`.
+///     `CompileOptions::Backend` key), capability bits, and
+///     `createExecutor()`.
 ///   - `Executor` is one instantiated session for a fixed program set:
 ///     encrypt/run/decrypt/noiseBudget/trace over opaque `Value` handles.
 ///
@@ -89,19 +89,14 @@ private:
   std::shared_ptr<const HolderBase> Impl;
 };
 
-/// What a backend can and cannot do; the driver gates behavior (noise
-/// reporting, Galois-key validation, outcome flags) on these bits instead
-/// of on backend names.
+/// What a backend can and cannot do; the driver gates behavior on these
+/// bits instead of on backend names.
 struct BackendCapabilities {
-  /// Values are real ciphertexts; outputs come from decryption.
+  /// Values are real ciphertexts: outputs come from decryption,
+  /// noiseBudget() measures invariant noise, and rotations need Galois
+  /// keys generated at instantiation — so running a program whose
+  /// rotations were not in the instantiate() set must fail.
   bool Encrypted = true;
-  /// Rotations need Galois keys generated at instantiation, so running a
-  /// program whose rotations were not in the instantiate() set must fail.
-  bool NeedsGaloisKeys = true;
-  /// noiseBudget() returns a meaningful invariant-noise measurement.
-  bool ReportsNoiseBudget = true;
-  /// runWithTrace() is implemented.
-  bool SupportsTrace = true;
 };
 
 /// Everything a backend needs to instantiate one execution session.
@@ -113,6 +108,9 @@ struct SessionSpec {
   uint64_t PlainModulus = 65537;
   /// Seed for execution-side randomness (keys, encryption noise).
   uint64_t ExecutionSeed = 1;
+  /// The latency table the programs were compiled under; the dry-run
+  /// backend charges its runs with it.
+  quill::LatencyTable Latency;
   /// Opaque sharedState() of a previous session for the same (or deeper)
   /// program set; backends reuse the immutable, thread-safe part of it
   /// (the BFV context's CRT bases and NTT tables) instead of rebuilding.
@@ -137,8 +135,8 @@ public:
   /// Decrypts (or unwraps) a result and returns the first \p Width slots.
   virtual std::vector<uint64_t> decrypt(const Value &V, size_t Width) const = 0;
 
-  /// Remaining invariant noise budget in bits; 0 when the backend's
-  /// capabilities say ReportsNoiseBudget is false.
+  /// Remaining invariant noise budget in bits; 0 on backends whose
+  /// capabilities say Encrypted is false.
   virtual double noiseBudget(const Value &V) const = 0;
 
   /// Runs \p P recording the decrypted slot state (first \p TraceWidth
@@ -161,13 +159,14 @@ public:
 
   /// Cumulative cost-model latency (µs) this session has charged for its
   /// runs. Real backends spend wall-clock instead and report 0; the
-  /// dry-run backend accumulates its latency table here so callers can
-  /// observe what an execution *would* have cost.
+  /// dry-run backend prices each run under SessionSpec::Latency and
+  /// accumulates it here, so callers can observe what an execution
+  /// *would* have cost.
   virtual double chargedLatencyUs() const { return 0.0; }
 };
 
-/// A registered execution backend: naming, capabilities, cost pricing, and
-/// the session factory. Implementations are stateless and immutable after
+/// A registered execution backend: naming, capabilities, and the session
+/// factory. Implementations are stateless and immutable after
 /// registration (they are shared across threads freely).
 class ExecutorBackend {
 public:
@@ -179,21 +178,14 @@ public:
 
   virtual BackendCapabilities capabilities() const = 0;
 
-  /// The per-instruction latency table pricing the cost model when
-  /// `CompileOptions::Latency == LatencySource::Backend`.
-  virtual quill::LatencyTable latencyTable() const = 0;
+  /// The calibrated default latency table, the same on every backend
+  /// (perfbench prices its baseline costs with it). Compiles price with
+  /// `CompileOptions::Synthesis.Latency`, which defaults to this table.
+  quill::LatencyTable latencyTable() const { return quill::LatencyTable{}; }
 
   /// Whether the backend can actually run in this process (a backend may
   /// be compiled in but lack a runtime dependency).
   virtual bool available() const { return true; }
-
-  /// The rotation steps this backend must prepare keys for to serve
-  /// \p Programs. The default is the program-derived set; backends that
-  /// need no Galois keys (dry-run) override this to return nothing.
-  virtual std::vector<int>
-  requiredRotations(const std::vector<const quill::Program *> &Programs) const {
-    return porcupine::requiredRotations(Programs);
-  }
 
   /// Instantiates one execution session. Anything the caller can get wrong
   /// (unsupported modulus, program wider than a batching row) returns a

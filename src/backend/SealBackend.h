@@ -34,11 +34,6 @@ public:
   BackendCapabilities capabilities() const override {
     return BackendCapabilities{};
   }
-  /// Until a SEAL-specific profile lands, price with the calibrated
-  /// defaults (same op mix, comparable host latencies).
-  quill::LatencyTable latencyTable() const override {
-    return quill::LatencyTable{};
-  }
   Expected<std::unique_ptr<Executor>>
   createExecutor(const SessionSpec &Spec) const override;
 };

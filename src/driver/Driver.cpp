@@ -6,7 +6,6 @@
 
 #include "driver/Driver.h"
 
-#include "backend/LatencyProfiler.h"
 #include "quill/Interpreter.h"
 #include "support/Json.h"
 
@@ -38,8 +37,6 @@ Status Compiler::validateOptions() const {
   if (Opts.ExplicitRotations && Opts.ExplicitRotationMaxComponents < 1)
     S.addError("options",
                "ExplicitRotationMaxComponents must be at least 1");
-  if (Opts.Latency == LatencySource::Profiled && Opts.ProfileRepeats < 1)
-    S.addError("options", "ProfileRepeats must be at least 1");
   if (!backend::BackendRegistry::builtin().find(Opts.Backend))
     S.addError("options",
                "unknown execution backend '" + Opts.Backend +
@@ -95,36 +92,6 @@ static Status validateSketch(const KernelSpec &Spec, const synth::Sketch &Sk) {
 }
 
 //===----------------------------------------------------------------------===//
-// Latency source
-//===----------------------------------------------------------------------===//
-
-quill::LatencyTable
-Compiler::effectiveLatency(std::vector<Diagnostic> *Notes) const {
-  if (Opts.Latency == LatencySource::Backend) {
-    // Price with the execution backend's table so estimates match where
-    // the program will actually run. The "bfv" table IS the calibrated
-    // defaults, so the common case is numerically identical to Defaults.
-    if (const backend::ExecutorBackend *B =
-            backend::BackendRegistry::builtin().find(Opts.Backend))
-      return B->latencyTable();
-    return Opts.Synthesis.Latency; // Unknown name: validateOptions flags
-                                   // it; stay deterministic here.
-  }
-  if (Opts.Latency == LatencySource::Defaults)
-    return Opts.Synthesis.Latency;
-  // Profile at a mid-range depth-2 context: representative of the
-  // evaluation kernels without re-profiling per program.
-  BfvContext Ctx = BfvContext::forMultDepth(2);
-  Rng R(Opts.ExecutionSeed);
-  quill::LatencyTable Table = profileLatencies(Ctx, R, Opts.ProfileRepeats);
-  if (Notes)
-    Notes->push_back({Severity::Note, "cost",
-                      "latencies profiled on the bundled evaluator at N=" +
-                          std::to_string(Ctx.polyDegree())});
-  return Table;
-}
-
-//===----------------------------------------------------------------------===//
 // Stages
 //===----------------------------------------------------------------------===//
 
@@ -133,19 +100,17 @@ Compiler::synthesize(const KernelSpec &Spec, const synth::Sketch &Sk) const {
   Status S = validateOptions();
   if (!S)
     return S;
-  return synthesizeWith(Spec, Sk, effectiveLatency(nullptr));
+  return synthesizeWith(Spec, Sk);
 }
 
 Expected<SynthesisOutcome>
 Compiler::synthesizeWith(const KernelSpec &Spec, const synth::Sketch &Sk,
-                         const quill::LatencyTable &Latency,
                          synth::SynthesisStats *FailStats) const {
   Status S = validateSketch(Spec, Sk);
   if (!S)
     return S;
 
   synth::SynthesisOptions Syn = Opts.Synthesis;
-  Syn.Latency = Latency;
   synth::Sketch Actual = Sk;
   Actual.ExplicitRotations = Opts.ExplicitRotations;
   if (Opts.ExplicitRotations)
@@ -166,18 +131,12 @@ Compiler::synthesizeWith(const KernelSpec &Spec, const synth::Sketch &Sk,
 }
 
 Expected<OptimizeOutcome> Compiler::optimize(const quill::Program &P) const {
-  return optimizeWith(P, Opts.Synthesis.Latency);
-}
-
-Expected<OptimizeOutcome>
-Compiler::optimizeWith(const quill::Program &P,
-                       const quill::LatencyTable &Latency) const {
   Status S = validateProgram(P, "optimize");
   if (!S)
     return S;
 
   quill::PassManagerOptions PMO;
-  PMO.Context.Latency = Latency;
+  PMO.Context.Latency = Opts.Synthesis.Latency;
   PMO.Context.PlainModulus = Opts.Synthesis.PlainModulus;
   PMO.Context.EqSat = Opts.EqSat;
   // Deterministic verification examples: the pass manager re-interprets
@@ -249,6 +208,7 @@ Compiler::instantiate(const std::vector<const quill::Program *> &Programs,
   Spec.Programs = Programs;
   Spec.PlainModulus = Opts.Synthesis.PlainModulus;
   Spec.ExecutionSeed = Opts.ExecutionSeed;
+  Spec.Latency = Opts.Synthesis.Latency;
   Spec.Reuse = std::move(Reuse);
   auto Exec = B->createExecutor(Spec);
   if (!Exec)
@@ -258,7 +218,7 @@ Compiler::instantiate(const std::vector<const quill::Program *> &Programs,
   RT.B = B;
   RT.Caps = B->capabilities();
   RT.Exec = Exec.take();
-  RT.KeyedRotations = B->requiredRotations(Programs);
+  RT.KeyedRotations = porcupine::requiredRotations(Programs);
   return RT;
 }
 
@@ -309,15 +269,10 @@ Compiler::compileFrom(const KernelSpec &Spec, const synth::Sketch &Sk,
   CompileResult Res;
   Res.KernelName = Spec.name();
 
-  // Resolve the latency table once: it both drives CEGIS cost
-  // minimization and prices the final cost estimate, and profiling it is
-  // expensive (a context build plus timed evaluator runs).
-  quill::LatencyTable Latency = effectiveLatency(&Res.Notes);
-
   // Stage 1: pick the program — synthesis, or the bundled anchor.
   if (Opts.RunSynthesis) {
     synth::SynthesisStats AttemptStats;
-    auto Syn = synthesizeWith(Spec, Sk, Latency, &AttemptStats);
+    auto Syn = synthesizeWith(Spec, Sk, &AttemptStats);
     if (Syn) {
       Res.Program = std::move(Syn->Program);
       Res.Stats = Syn->Stats;
@@ -347,18 +302,17 @@ Compiler::compileFrom(const KernelSpec &Spec, const synth::Sketch &Sk,
   if (!Res.FromSynthesis && !BundledNotes.empty())
     Res.Notes.push_back({Severity::Note, "synthesis", BundledNotes});
 
-  Status Tail = finishCompile(Res, Latency);
+  Status Tail = finishCompile(Res);
   if (!Tail)
     return Tail;
   return Res;
 }
 
-Status Compiler::finishCompile(CompileResult &Res,
-                               const quill::LatencyTable &Latency) const {
+Status Compiler::finishCompile(CompileResult &Res) const {
   // Stage 2: the optimizer pipeline, priced under the same latency table
   // as synthesis and the final cost estimate.
   if (!Opts.Pipeline.empty()) {
-    auto Opt = optimizeWith(Res.Program, Latency);
+    auto Opt = optimize(Res.Program);
     if (!Opt)
       return Opt.status();
     Res.Program = std::move(Opt->Program);
@@ -370,7 +324,7 @@ Status Compiler::finishCompile(CompileResult &Res,
   Res.Mix = quill::countInstructions(Res.Program);
   Res.Depth = quill::programDepth(Res.Program);
   Res.MultDepth = quill::programMultiplicativeDepth(Res.Program);
-  quill::CostModel Cost(Latency);
+  quill::CostModel Cost(Opts.Synthesis.Latency);
   Res.LatencyEstimateUs = Cost.latency(Res.Program);
   Res.Cost = Cost.cost(Res.Program);
 
@@ -437,8 +391,7 @@ Compiler::compilePorc(const std::string &Source,
            std::to_string(L->Stats.RotationsScheduled) +
            " distinct rotation(s)"});
 
-  quill::LatencyTable Latency = effectiveLatency(&Res.Notes);
-  Status Tail = finishCompile(Res, Latency);
+  Status Tail = finishCompile(Res);
   if (!Tail)
     return Tail;
   return Res;
@@ -500,7 +453,7 @@ Runtime::execute(const quill::Program &P,
     return Ct.status();
   ExecuteOutcome Out;
   Out.Encrypted = Caps.Encrypted;
-  if (Caps.ReportsNoiseBudget) {
+  if (Caps.Encrypted) {
     // A wrapped result's noise is a centred remainder mod Q, so the meter
     // reads a sliver above 0 bits, never 0: anything under one whole bit
     // is exhausted.
@@ -546,7 +499,7 @@ Runtime::run(const quill::Program &P,
   if (P.VectorSize > Exec->slotCount())
     return Status::error("execute",
                          "program is wider than the instantiated context");
-  if (Caps.NeedsGaloisKeys)
+  if (Caps.Encrypted)
     for (int Step : porcupine::requiredRotations(P))
       if (!std::binary_search(KeyedRotations.begin(), KeyedRotations.end(),
                               Step))

@@ -54,27 +54,26 @@
 namespace porcupine {
 namespace driver {
 
-/// Where the instruction latencies driving the cost model come from.
-enum class LatencySource {
-  Backend,  ///< The selected execution backend's latencyTable() (default;
-            ///< identical numbers to Defaults on the "bfv" backend, whose
-            ///< table *is* the calibrated constants).
-  Defaults, ///< The calibrated constants in quill::LatencyTable.
-  Profiled, ///< Measure the bundled BFV evaluator (backend/LatencyProfiler).
-};
-
 /// Everything that configures a compilation, in one object.
 struct CompileOptions {
   /// Synthesis tunables: component bounds, timeout, cost-minimization
-  /// phase, plaintext modulus, PRNG seed, the latency table (which the
-  /// driver overwrites when Latency == Profiled), and the portfolio
-  /// thread count `Synthesis.Threads` (0 = one worker per hardware
-  /// thread, 1 = the exact sequential search; surfaced as `porcc --jobs`).
+  /// phase, plaintext modulus, PRNG seed, the latency table, and the
+  /// portfolio thread count `Synthesis.Threads` (0 = one worker per
+  /// hardware thread, 1 = the exact sequential search; surfaced as
+  /// `porcc --jobs`).
   /// Thread count never changes the synthesized program — the portfolio's
   /// deterministic tie-break guarantees byte-identical results for every
   /// value — so it is deliberately *excluded* from canonicalKey(): a
   /// deployment may retune it freely without invalidating compile caches
   /// or artifacts.
+  ///
+  /// `Synthesis.Latency` is the one latency table of a compile: CEGIS
+  /// minimizes against it, the optimizer pipeline prices passes with it,
+  /// CompileResult::Cost is computed under it, and the dry-run backend
+  /// charges executions with it. It defaults to the calibrated constants;
+  /// a measured table is one assignment away
+  /// (`Opts.Synthesis.Latency = profileLatencies(...)`,
+  /// backend/LatencyProfiler.h).
   synth::SynthesisOptions Synthesis;
 
   /// Run CEGIS synthesis. When false, compile() takes the bundled
@@ -125,19 +124,13 @@ struct CompileOptions {
   /// keeps Synthesis.Threads out of the key).
   quill::EqSatBudgets EqSat;
 
-  /// Which execution backend runs compiled programs (and, under the
-  /// default Latency source, prices the cost model): a name in
+  /// Which execution backend runs compiled programs: a name in
   /// backend::BackendRegistry::builtin() — "bfv" (the in-tree encrypted
   /// runtime), "dryrun" (keyless plaintext semantics charging cost-model
   /// latencies), or "seal" when built with -DPORCUPINE_WITH_SEAL.
   /// Fingerprinted, so the Engine's compile cache and artifacts can never
   /// serve a kernel compiled for one backend to a request for another.
   std::string Backend = "bfv";
-
-  /// Cost/latency source for synthesis and the reported cost estimate.
-  LatencySource Latency = LatencySource::Backend;
-  /// Median window for Profiled latency measurement.
-  int ProfileRepeats = 3;
 
   /// Select BFV parameters (N, coeff modulus) for the compiled program.
   bool SelectParameters = true;
@@ -188,8 +181,8 @@ struct CompileResult {
   quill::InstrMix Mix;
   int Depth = 0;
   int MultDepth = 0;
-  /// Estimated latency (microseconds) and paper cost under the latency
-  /// table the compile used.
+  /// Estimated latency (microseconds) and paper cost under
+  /// CompileOptions::Synthesis.Latency.
   double LatencyEstimateUs = 0.0;
   double Cost = 0.0;
 
@@ -281,7 +274,7 @@ public:
   std::vector<uint64_t> decrypt(const backend::Value &V, size_t Width) const;
 
   /// Remaining invariant noise budget of a value, in bits (0 on backends
-  /// whose capabilities().ReportsNoiseBudget is false).
+  /// whose capabilities().Encrypted is false).
   double noiseBudget(const backend::Value &V) const;
 
   /// The backend session, by interface.
@@ -407,21 +400,12 @@ public:
 private:
   Status validateOptions() const;
   Status validateProgram(const quill::Program &P, const char *Stage) const;
-  /// The latency table compiles use; profiles the evaluator on demand.
-  quill::LatencyTable effectiveLatency(std::vector<Diagnostic> *Notes) const;
-  /// synthesize() with the latency table already resolved, so compile()
-  /// profiles at most once and costs under the same table CEGIS minimized.
+  /// synthesize() without the options check compile() has already made.
   /// On failure, \p FailStats (when given) receives the attempt's
   /// measurements so fallback results can still report them.
   Expected<SynthesisOutcome>
   synthesizeWith(const KernelSpec &Spec, const synth::Sketch &Sk,
-                 const quill::LatencyTable &Latency,
                  synth::SynthesisStats *FailStats = nullptr) const;
-  /// optimize() under an already-resolved latency table (compile() passes
-  /// the profiled one so pass pricing matches the final cost estimate).
-  Expected<OptimizeOutcome>
-  optimizeWith(const quill::Program &P,
-               const quill::LatencyTable &Latency) const;
   Expected<CompileResult> compileFrom(const KernelSpec &Spec,
                                       const synth::Sketch &Sk,
                                       const quill::Program *Bundled,
@@ -429,8 +413,7 @@ private:
   /// The backend-independent tail every compile shares once Res.Program is
   /// chosen: optimizer pipeline, analyses, cost estimate, parameter
   /// selection, codegen.
-  Status finishCompile(CompileResult &Res,
-                       const quill::LatencyTable &Latency) const;
+  Status finishCompile(CompileResult &Res) const;
 
   CompileOptions Opts;
   const kernels::KernelRegistry *Registry = nullptr;

@@ -127,16 +127,10 @@ std::string CompileOptions::canonicalKey() const {
   addField(K, "latency.mul_ct_pt", Synthesis.Latency.MulCtPt);
   addField(K, "latency.relin_ct", Synthesis.Latency.RelinCt);
   addField(K, "latency.rot_ct", Synthesis.Latency.RotCt);
-  addField(K, "latency.source",
-           std::string(Latency == LatencySource::Profiled
-                           ? "profiled"
-                           : Latency == LatencySource::Defaults ? "defaults"
-                                                                : "backend"));
   addField(K, "latency.sub_ct_ct", Synthesis.Latency.SubCtCt);
   addField(K, "latency.sub_ct_pt", Synthesis.Latency.SubCtPt);
   // JSON-quoted like the function name: the pipeline is free-form text.
   addField(K, "pipeline", json::quote(Pipeline));
-  addField(K, "profile_repeats", ProfileRepeats);
   addField(K, "run_synthesis", RunSynthesis);
   addField(K, "select_parameters", SelectParameters);
   addField(K, "synthesis.max_components", Synthesis.MaxComponents);

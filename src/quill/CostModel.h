@@ -29,8 +29,9 @@ namespace quill {
 /// Per-opcode latencies in microseconds. The defaults are rounded medians
 /// from bench_bfv_microbench on the 1-core CI runner class with the
 /// RNS-native evaluator (see the "microbench" section of the committed
-/// BENCH_results.json); LatencyProfiler re-measures them at runtime when a
-/// live profile is requested.
+/// BENCH_results.json). A compile prices with
+/// CompileOptions::Synthesis.Latency, which defaults to this table;
+/// LatencyProfiler measures a replacement when a live profile is wanted.
 struct LatencyTable {
   double AddCtCt = 100.0;
   double AddCtPt = 120.0;

@@ -715,7 +715,7 @@ Expected<PipelineStats> PassManager::run(Program &P) {
       }
 
     double After = Cost.cost(P);
-    if (Opts.RevertCostIncreases && After > S.CostBefore + 1e-9) {
+    if (After > S.CostBefore + 1e-9) {
       P = std::move(Snapshot);
       S.Reverted = true;
       S.RejectedCost = After;

@@ -45,9 +45,9 @@
 /// rewrites), so any pipeline is a no-op on its own output; eqsat is
 /// idempotent whenever its budgets let saturation reach a fixpoint (the
 /// defaults do on every bundled kernel — a budget-stopped run may still
-/// find more on a rerun). Unlike the width-W-cyclic peephole and eqsat,
-/// the four other passes only apply rewrites that are also exact on wider
-/// ciphertext rows (width portability).
+/// find more on a rerun). Unlike the width-W-cyclic peephole, every
+/// other pass, eqsat included, only applies rewrites that are also exact
+/// on wider ciphertext rows (width portability).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -195,9 +195,6 @@ struct PassManagerOptions {
   /// re-interprets the program on each example and fails the run on any
   /// output mismatch. Empty disables verification.
   std::vector<std::vector<SlotVector>> Examples;
-  /// Revert (rather than fail) any pass whose result costs more than its
-  /// input under Context.Latency.
-  bool RevertCostIncreases = true;
 };
 
 /// An ordered pass pipeline. Movable, not copyable (owns the passes).

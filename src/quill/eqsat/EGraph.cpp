@@ -96,14 +96,12 @@ int EGraph::addCtPt(Opcode Op, int A, int ConstIdx) {
 }
 
 int EGraph::addRot(int A, int Amount) {
-  int W = static_cast<int>(Width);
-  int K = ((Amount % W) + W) % W;
-  if (K == 0)
+  if (Amount == 0)
     return find(A); // rot(x, 0) == x: never stored.
   ENode N;
   N.Kind = static_cast<int>(Opcode::RotCt);
   N.A = A;
-  N.Payload = K;
+  N.Payload = Amount;
   return addNode(N);
 }
 

@@ -27,14 +27,14 @@
 ///
 /// Normalization at insertion time keeps the graph small:
 ///   * commutative ct-ct operands (add, mul) are stored sorted;
-///   * rotation amounts are reduced mod the vector width, and a
-///     rotate-by-zero collapses to its operand's class;
+///   * a rotate-by-zero collapses to its operand's class;
 ///   * plaintext constants are interned as residues mod t, so constants
 ///     equal mod t share one table index.
 ///
-/// Unlike the classical passes (Passes.h) the e-graph reasons about one
-/// concrete vector width: rotation arithmetic is width-W-cyclic, like the
-/// peephole, not width-portable.
+/// Rotation amounts are stored raw, not reduced mod the vector width W:
+/// rot(x, -1) and rot(x, W-1) agree on W slots but not on a ciphertext
+/// row of N/2 slots, where encrypted programs rotate. Every equality the
+/// graph holds is therefore exact on the row too.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -58,7 +58,7 @@ namespace eqsat {
 /// leaf (Payload = input index) or the int value of a quill::Opcode.
 /// Children A (always, for ops) and B (ct-ct ops) are e-class ids;
 /// Payload holds the input index, the plaintext-table index (ct-pt ops),
-/// or the left-rotation amount in [1, W) (rot-ct).
+/// or the nonzero signed left-rotation amount (rot-ct).
 struct ENode {
   int Kind = -1;
   int A = -1;
@@ -118,8 +118,8 @@ public:
 
   /// Term builders. Each canonicalizes, consults the hashcons, and returns
   /// the canonical class id (allocating a fresh singleton class for a
-  /// never-seen node). addRot() reduces the amount mod the width and
-  /// returns the operand's class unchanged for a net rotation of zero.
+  /// never-seen node). addRot() keeps the amount as given and returns the
+  /// operand's class unchanged for a rotation by 0.
   int addInput(int Index);
   int addCtCt(Opcode Op, int A, int B);
   int addCtPt(Opcode Op, int A, int ConstIdx);

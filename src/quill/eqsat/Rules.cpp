@@ -42,6 +42,7 @@ int addSplatConst(EGraph &G, Opcode Op, int A, uint64_t K) {
 int porcupine::quill::eqsat::runRuleIteration(EGraph &G, size_t MaxNodes) {
   G.rebuild();
   const uint64_t T = G.modulus();
+  const int W = static_cast<int>(G.width());
 
   // Match against a snapshot: rule applications allocate nodes and merge
   // classes mid-scan, but only the pre-iteration terms are pattern
@@ -93,16 +94,21 @@ int porcupine::quill::eqsat::runRuleIteration(EGraph &G, size_t MaxNodes) {
             break;
           if (M.isInput())
             continue;
-          // rot(rot(x,a),b) == rot(x,(a+b) mod W).
-          if (M.op() == Opcode::RotCt)
-            apply(C, G.addRot(M.A, K + M.Payload));
-          // rot distributes over ct-ct add/sub/mul...
-          else if (isCtCt(M.op()))
+          if (M.op() == Opcode::RotCt) {
+            // rot(rot(x,a),b) == rot(x,a+b), except when a+b is a nonzero
+            // multiple of W: Program::validate rejects that rotation, and
+            // it is not the identity on a ciphertext row.
+            const int Sum = K + M.Payload;
+            if (Sum == 0 || Sum % W != 0)
+              apply(C, G.addRot(M.A, Sum));
+          } else if (isCtCt(M.op())) {
+            // rot distributes over ct-ct add/sub/mul...
             apply(C, G.addCtCt(M.op(), G.addRot(M.A, K), G.addRot(M.B, K)));
-          // ...and over ct-pt ops with splat constants (a splat is
-          // rotation-invariant; a full vector is not).
-          else if (isCtPt(M.op()) && G.splatOf(M.Payload))
+          } else if (isCtPt(M.op()) && G.splatOf(M.Payload)) {
+            // ...and over ct-pt ops with splat constants (a splat is
+            // rotation-invariant; a full vector is not).
             apply(C, G.addCtPt(M.op(), G.addRot(M.A, K), M.Payload));
+          }
         }
         continue;
       }

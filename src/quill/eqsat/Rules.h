@@ -10,8 +10,9 @@
 /// instead of greedy ordered replacements, so every rewrite ordering is
 /// explored at once and extraction picks the cheapest representative:
 ///
-///   rotation    rot(rot(x,a),b) == rot(x,(a+b) mod W); rot(x,0) == x
-///               (by construction); rotation distributes over ct-ct
+///   rotation    rot(rot(x,a),b) == rot(x,a+b) unless a+b is a nonzero
+///               multiple of the width W; rot(x,0) == x (by
+///               construction); rotation distributes over ct-ct
 ///               add/sub/mul and over ct-pt ops with splat constants, in
 ///               both directions (the factoring direction generalizes
 ///               rot-dedup's hoist — no single-use gate).

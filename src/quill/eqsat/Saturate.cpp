@@ -11,6 +11,7 @@
 #include "support/Timing.h"
 
 #include <algorithm>
+#include <limits>
 #include <utility>
 
 using namespace porcupine;
@@ -76,6 +77,43 @@ SaturationStats eqsat::saturate(EGraph &G, const EqSatBudgets &Budgets) {
 
 namespace {
 
+/// An extracted program and its quill::CostModel cost (+inf: none).
+struct Candidate {
+  Program Prog;
+  double Cost = std::numeric_limits<double>::infinity();
+};
+
+/// The cheapest program extractable from \p BG as it stands.
+Candidate cheapestExtraction(const BuiltGraph &BG, int NumInputs,
+                             const PassContext &Ctx) {
+  // Extract twice: once under the implicit pricing (every mul pays its
+  // relin) and once optimistically (every relin elided — muls priced
+  // raw). The two tables bracket what lazy relinearization can achieve;
+  // scoring both candidates relin-aware picks the right bracket end.
+  LatencyTable Optimistic = Ctx.Latency;
+  Optimistic.MulCtCt = Ctx.Latency.mulCtCtRaw();
+
+  CostModel Cost(Ctx.Latency);
+  Candidate Best;
+  for (const LatencyTable &Table : {Ctx.Latency, Optimistic}) {
+    ExtractionResult Ex = extract(BG.Graph, BG.Root, NumInputs, Table);
+    if (!Ex.Valid)
+      continue;
+    Program Q = std::move(Ex.Prog);
+    // Re-place relinearizations on the implicit extraction; lazy-relin
+    // has its own commit guards and leaves Q implicit when that is
+    // cheaper or when there is nothing to defer.
+    if (std::unique_ptr<Pass> LazyRelin = createPass("lazy-relin"))
+      LazyRelin->run(Q, Ctx);
+    double C = Cost.cost(Q);
+    if (C < Best.Cost - 1e-9) {
+      Best.Prog = std::move(Q);
+      Best.Cost = C;
+    }
+  }
+  return Best;
+}
+
 /// The `eqsat` pass: saturate, extract, re-place relins, and commit only
 /// strict cost-model improvements. See Saturate.h for the contract.
 class EqSatPass : public Pass {
@@ -88,44 +126,23 @@ public:
       return 0;
 
     BuiltGraph BG = buildEGraph(P, Ctx.PlainModulus);
+    // Extraction is greedy per class, so a graph grown by sweeps can
+    // extract a program dearer than the unsaturated graph's (which is the
+    // input with hashcons CSE applied). Keep that candidate too; the
+    // saturated graph's wins ties.
+    Candidate Unsaturated = cheapestExtraction(BG, P.NumInputs, Ctx);
     Last = saturate(BG.Graph, Ctx.EqSat);
-
-    // Extract twice: once under the implicit pricing (every mul pays its
-    // relin) and once optimistically (every relin elided — muls priced
-    // raw). The two tables bracket what lazy relinearization can achieve;
-    // scoring both candidates relin-aware picks the right bracket end.
-    LatencyTable Optimistic = Ctx.Latency;
-    Optimistic.MulCtCt = Ctx.Latency.mulCtCtRaw();
-
-    CostModel Cost(Ctx.Latency);
-    Program BestProg;
-    double BestCost = 0.0;
-    bool Have = false;
-    for (const LatencyTable &Table : {Ctx.Latency, Optimistic}) {
-      ExtractionResult Ex = extract(BG.Graph, BG.Root, P.NumInputs, Table);
-      if (!Ex.Valid)
-        continue;
-      Program Q = std::move(Ex.Prog);
-      // Re-place relinearizations on the implicit extraction; lazy-relin
-      // has its own commit guards and leaves Q implicit when that is
-      // cheaper or when there is nothing to defer.
-      if (std::unique_ptr<Pass> LazyRelin = createPass("lazy-relin"))
-        LazyRelin->run(Q, Ctx);
-      double C = Cost.cost(Q);
-      if (!Have || C < BestCost - 1e-9) {
-        BestProg = std::move(Q);
-        BestCost = C;
-        Have = true;
-      }
-    }
+    Candidate Best = cheapestExtraction(BG, P.NumInputs, Ctx);
+    if (Unsaturated.Cost < Best.Cost - 1e-9)
+      Best = std::move(Unsaturated);
 
     // Commit only a strict improvement over the input's true cost: the
     // manager's cost guard can then never fire on eqsat, and rerunning on
     // the committed output extracts the same program again (equal cost)
     // and reports 0 — idempotence, whenever saturation completed.
-    if (!Have || BestCost >= Cost.cost(P) - 1e-9)
+    if (Best.Cost >= CostModel(Ctx.Latency).cost(P) - 1e-9)
       return 0;
-    P = std::move(BestProg);
+    P = std::move(Best.Prog);
     return std::max(1, Last.Applications);
   }
 

@@ -15,9 +15,10 @@
 ///                  iteration/node/time budget trips, reporting which;
 ///   createEqSatPass() the Pass the registry hands out for "eqsat": build,
 ///                  saturate, extract twice (implicit pricing and an
-///                  optimistic all-relins-elided pricing), re-place relins
-///                  via the lazy-relin pass, score both candidates with
-///                  relinAwareCost, and commit the winner only when it is
+///                  optimistic all-relins-elided pricing) both before the
+///                  first sweep and after the last, re-place relins via
+///                  the lazy-relin pass, score the candidates with
+///                  quill::CostModel, and commit the winner only when it is
 ///                  strictly cheaper than the input under quill::CostModel
 ///                  — so the PassManager's cost-monotonicity guard can
 ///                  never fire on it, and a rerun on its own output is a

@@ -63,7 +63,9 @@ struct SynthesisOptions {
   double TimeoutSeconds = 120.0;
   /// Whether to run the cost-minimization phase after the first solution.
   bool Optimize = true;
-  /// Instruction latencies for the cost function.
+  /// Instruction latencies for the cost function. Under the driver this
+  /// is CompileOptions::Synthesis.Latency, the one table that also prices
+  /// the optimizer, the reported cost and dry-run executions.
   quill::LatencyTable Latency;
   /// Plaintext modulus the kernel computes over.
   uint64_t PlainModulus = 65537;

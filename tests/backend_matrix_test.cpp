@@ -83,9 +83,7 @@ TEST(BackendRegistry, BundlesBfvAndDryRunAndRejectsUnknownNames) {
   ASSERT_NE(Reg.find("dryrun"), nullptr);
   EXPECT_EQ(Reg.find("no such backend"), nullptr);
   EXPECT_TRUE(Reg.find("bfv")->capabilities().Encrypted);
-  EXPECT_TRUE(Reg.find("bfv")->capabilities().NeedsGaloisKeys);
   EXPECT_FALSE(Reg.find("dryrun")->capabilities().Encrypted);
-  EXPECT_FALSE(Reg.find("dryrun")->capabilities().NeedsGaloisKeys);
   EXPECT_NE(Reg.namesCsv().find("bfv"), std::string::npos);
   EXPECT_NE(Reg.namesCsv().find("dryrun"), std::string::npos);
 }
@@ -133,8 +131,6 @@ TEST(BackendMatrix, TracesAreSlotEqualAcrossBackends) {
     ASSERT_TRUE(R.hasValue()) << R.status().toString();
     auto RT = C.instantiate({&R->Program});
     ASSERT_TRUE(RT.hasValue()) << B << ": " << RT.status().toString();
-    if (!RT->capabilities().SupportsTrace)
-      continue;
     std::vector<backend::Value> Vals;
     for (const auto &V : inputsFor(R->Program, 7)) {
       auto Ct = RT->encrypt(V);
@@ -247,12 +243,4 @@ TEST(BackendMatrix, RotationCapabilityQueryMatchesTheProgramAnalysis) {
   P.append(quill::Instr::rot(1, -3));
   P.append(quill::Instr::rot(0, 2)); // Duplicate step: must deduplicate.
   EXPECT_EQ(porcupine::requiredRotations(P), (std::vector<int>{-3, 2}));
-
-  const auto &Reg = backend::BackendRegistry::builtin();
-  std::vector<const quill::Program *> Ps = {&P};
-  // Key-based backends inherit the program-derived set; the keyless
-  // dry-run backend overrides it to need nothing.
-  EXPECT_EQ(Reg.find("bfv")->requiredRotations(Ps),
-            porcupine::requiredRotations(Ps));
-  EXPECT_TRUE(Reg.find("dryrun")->requiredRotations(Ps).empty());
 }

@@ -245,6 +245,36 @@ TEST(CompileOptions, InvalidOptionsAreRejectedUpFront) {
     EXPECT_EQ(D.Stage, "options");
 }
 
+TEST(CompileOptions, SynthesisLatencyPricesEveryStageAndTheDryRun) {
+  // Synthesis.Latency is the one latency table: compile(), optimize(),
+  // the cost model and the dry-run backend's charge all read it.
+  CompileOptions Opts;
+  Opts.RunSynthesis = false;
+  Opts.Synthesis.Latency.RotCt = 3000;
+  Compiler C(Opts);
+  auto R = C.compile("dot product");
+  ASSERT_TRUE(R.hasValue()) << R.status().toString();
+  EXPECT_EQ(R->Cost, 32600.0);
+  EXPECT_EQ(quill::CostModel(Opts.Synthesis.Latency).cost(R->Program),
+            R->Cost);
+  auto B = KernelRegistry::builtin().find("dot product");
+  ASSERT_TRUE(B.hasValue()) << B.status().toString();
+  auto O = C.optimize((*B)->Synthesized);
+  ASSERT_TRUE(O.hasValue()) << O.status().toString();
+  EXPECT_EQ(O->Stats.costAfter(), R->Cost);
+
+  Opts.Backend = "dryrun";
+  Compiler Dry(Opts);
+  auto D = Dry.compile("dot product");
+  ASSERT_TRUE(D.hasValue()) << D.status().toString();
+  EXPECT_EQ(D->LatencyEstimateUs, 16300.0);
+  std::vector<std::vector<uint64_t>> Ones(
+      D->Program.NumInputs, std::vector<uint64_t>(D->Program.VectorSize, 1));
+  auto Out = Dry.execute(D->Program, Ones);
+  ASSERT_TRUE(Out.hasValue()) << Out.status().toString();
+  EXPECT_EQ(Out->ChargedLatencyUs, D->LatencyEstimateUs);
+}
+
 //===----------------------------------------------------------------------===//
 // Per-stage entry points / early exit
 //===----------------------------------------------------------------------===//

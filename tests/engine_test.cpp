@@ -140,14 +140,12 @@ TEST(Fingerprint, EverySemanticFieldChangesIt) {
   O4.Codegen.FunctionName = "other";
   CompileOptions O5 = Base;
   O5.ExecutionSeed += 1;
-  CompileOptions O6 = Base;
-  O6.Latency = LatencySource::Profiled;
   CompileOptions O7 = Base;
   O7.Pipeline = "peephole";
   CompileOptions O8 = Base;
   O8.Synthesis.Latency.RelinCt += 1.0;
   for (const CompileOptions *O :
-       {&O1, &O2, &O3, &O4, &O5, &O6, &O7, &O8})
+       {&O1, &O2, &O3, &O4, &O5, &O7, &O8})
     EXPECT_NE(O->fingerprint(), BaseFp);
   // And the kernel name is part of the pair fingerprint.
   EXPECT_NE(compileFingerprint("a", Base), compileFingerprint("b", Base));

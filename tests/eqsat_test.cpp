@@ -9,10 +9,11 @@
 /// interpreter on seeded random programs, extraction never losing to the
 /// greedy default pipeline on any bundled kernel (and strictly winning on
 /// at least one — the global mult-depth trade the one-directional passes
-/// cannot see), and the determinism contract: with the wall-clock budget
-/// disabled, extraction is byte-identical across repeated runs, across
-/// budget settings that both reach saturation, and across synthesis
-/// thread counts. The budget-stopped trajectories of the three `.porc`
+/// cannot see), eqsat's programs staying right at the ciphertext row
+/// width (raw rotation amounts), and the determinism contract: with the
+/// wall-clock budget disabled, extraction is byte-identical across
+/// repeated runs, across budget settings that both reach saturation, and
+/// across synthesis thread counts. The budget-stopped trajectories of the three `.porc`
 /// workloads are pinned against goldens in tests/expected/.
 ///
 //===----------------------------------------------------------------------===//
@@ -69,17 +70,31 @@ TEST(EGraph, HashconsDeduplicates) {
   EXPECT_EQ(invariants(G), "");
 }
 
-TEST(EGraph, RotationNormalizesModWidth) {
+TEST(EGraph, RotationKeepsRawAmounts) {
   EGraph G(/*Width=*/4, T);
   int X = G.addInput(0);
-  // rot by 0 (mod W) is the identity: no node, same class back.
+  // Only a literal rot by 0 is the identity: no node, same class back.
   EXPECT_EQ(G.addRot(X, 0), X);
-  EXPECT_EQ(G.addRot(X, 4), X);
-  EXPECT_EQ(G.addRot(X, -8), X);
-  // Cyclic: -1 == 3 (mod 4), 5 == 1 (mod 4).
-  EXPECT_EQ(G.addRot(X, -1), G.addRot(X, 3));
-  EXPECT_EQ(G.addRot(X, 5), G.addRot(X, 1));
-  EXPECT_NE(G.addRot(X, 1), G.addRot(X, 2));
+  // Amounts equal mod W stay apart: they differ on a ciphertext row wider
+  // than W, where encrypted programs rotate.
+  EXPECT_NE(G.addRot(X, -1), G.addRot(X, 3));
+  EXPECT_NE(G.addRot(X, 5), G.addRot(X, 1));
+
+  // Composition adds raw amounts, collapses a net 0, and skips a sum
+  // that is a nonzero multiple of W.
+  const int R1 = G.addRot(X, 1);
+  const int Back = G.addRot(R1, -1); // net 0
+  const int Three = G.addRot(R1, 2); // net 3
+  const int Wrap = G.addRot(R1, 3);  // net 4 == W
+  runRuleIteration(G);
+  EXPECT_EQ(G.find(Back), G.find(X));
+  EXPECT_EQ(G.find(Three), G.find(G.addRot(X, 3)));
+  EXPECT_NE(G.find(Wrap), G.find(X));
+  for (int C : G.classIds())
+    for (const ENode &N : G.nodes(C))
+      EXPECT_FALSE(!N.isInput() && N.op() == Opcode::RotCt &&
+                   N.Payload % 4 == 0)
+          << "rot by " << N.Payload << " at width 4";
   EXPECT_EQ(invariants(G), "");
 }
 
@@ -375,6 +390,66 @@ TEST(EqSatExtraction, VarianceStrictWinDropsAMultDepthLevel) {
     return;
   }
   ADD_FAILURE() << "Variance kernel missing from the registry";
+}
+
+TEST(EqSatExtraction, AloneNeverLosesToTheDefaultPipeline) {
+  // Extraction is greedy per class, so a budget-stopped saturation can
+  // extract a program dearer than the unsaturated graph: on Harris's
+  // baseline, whose four duplicate rotations the default pipeline shares
+  // by CSE, every sweep made eqsat's pick worse. The pass keeps the
+  // unsaturated graph's extraction as a candidate, so eqsat alone never
+  // loses to the greedy pipeline.
+  std::vector<std::pair<std::string, Program>> Programs;
+  for (const auto &B : kernels::allKernels()) {
+    Programs.emplace_back(B.Spec.name(), B.Synthesized);
+    Programs.emplace_back(B.Spec.name() + " baseline", B.Baseline);
+  }
+  for (const kernels::AppBundle &App :
+       {kernels::sobelApp(), kernels::harrisApp()}) {
+    Programs.emplace_back(App.Name, App.Synthesized);
+    Programs.emplace_back(App.Name + " baseline", App.Baseline);
+  }
+  CostModel Cost;
+  for (const auto &[Name, P] : Programs) {
+    if (P.Instructions.empty())
+      continue;
+    double Greedy = Cost.cost(runPipeline(P, defaultPipeline()));
+    double EqSat = Cost.cost(runPipeline(P, "lazy-relin,eqsat"));
+    EXPECT_LE(EqSat, Greedy + 1e-9) << Name;
+  }
+}
+
+TEST(EqSatExtraction, PorcWorkloadsMatchTheSpecOnTheCiphertextRow) {
+  // Encrypted execution rotates over the whole batching row, not over the
+  // program width W. A rewrite that holds only mod W (rot by -1 == rot by
+  // W-1) passes every width-W interpreter check but fails here, on the
+  // dry-run backend, which rotates at the row width as BFV does.
+  driver::CompileOptions Opts;
+  Opts.Pipeline = eqsatPipeline();
+  Opts.Backend = "dryrun";
+  driver::Compiler C(Opts);
+  const uint64_t Seed = testSeed(9100);
+  SeedReporter Report(Seed);
+  Rng R(Seed);
+  for (const char *Slug : {"conv2d-5x5", "perceptron-8-4-1", "group-by-sum"}) {
+    auto B = C.registry().find(Slug);
+    ASSERT_TRUE(B.hasValue()) << B.status().toString();
+    const KernelSpec &Spec = (*B)->Spec;
+    auto Compiled = C.compilePorc(kernels::porcWorkloadSource(Spec.name()),
+                                  std::string(Slug) + ".porc");
+    ASSERT_TRUE(Compiled.hasValue()) << Compiled.status().toString();
+    for (int Trial = 0; Trial < 3; ++Trial) {
+      auto In = Spec.randomInputs(R, T);
+      auto Out = C.execute(Compiled->Program, In);
+      ASSERT_TRUE(Out.hasValue()) << Out.status().toString();
+      std::vector<uint64_t> Want = Spec.evalConcrete(In, T);
+      for (size_t I = 0; I < Spec.vectorSize(); ++I) {
+        if (Spec.outputSlotMatters(I)) {
+          EXPECT_EQ(Out->Outputs[I], Want[I]) << Slug << " slot " << I;
+        }
+      }
+    }
+  }
 }
 
 //===----------------------------------------------------------------------===//

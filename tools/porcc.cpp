@@ -96,6 +96,7 @@ using namespace porcupine::kernels;
 namespace {
 
 int usage() {
+  const quill::EqSatBudgets EqSatDefaults;
   std::fprintf(
       stderr,
       "usage: porcc <list|compile|synth|opt|emit|show|run|bench|serve|check> "
@@ -132,7 +133,7 @@ int usage() {
       "   append ',eqsat' for the equality-saturation superoptimizer.\n"
       " --eqsat-iters/--eqsat-nodes/--eqsat-time-ms: eqsat saturation "
       "budgets\n"
-      "   (defaults 8 / 20000 / 0 = no clock, fully deterministic).\n"
+      "   (defaults %d / %d / %g = no clock, fully deterministic).\n"
       " --backend NAME: execution backend. 'bfv' = in-tree encrypted "
       "runtime,\n"
       "   'dryrun' = keyless plaintext semantics with cost-model charging,\n"
@@ -143,7 +144,9 @@ int usage() {
       "(docs/FRONTEND.md);\n"
       "   --dump-frontend prints the access table and rotation schedule, "
       "--synth-subkernels\n"
-      "   routes small sub-expressions through CEGIS.)\n");
+      "   routes small sub-expressions through CEGIS.)\n",
+      EqSatDefaults.MaxIterations, EqSatDefaults.MaxNodes,
+      EqSatDefaults.TimeBudgetMs);
   return 2;
 }
 
@@ -214,8 +217,7 @@ driver::CompileOptions optionsFromFlags(int Argc, char **Argv) {
     Opts.EqSat.TimeBudgetMs = std::atof(V);
   Opts.Codegen.FunctionName = argValue(Argc, Argv, "--function", "kernel");
   // --backend NAME: the execution backend ("bfv", "dryrun", "seal" when
-  // built with -DPORCUPINE_WITH_SEAL). Also steers the default latency
-  // source: cost estimates read the selected backend's latency table.
+  // built with -DPORCUPINE_WITH_SEAL).
   if (const char *B = argValue(Argc, Argv, "--backend", nullptr))
     Opts.Backend = B;
   // --synth-subkernels: when compiling .porc source, try CEGIS on small
@@ -658,12 +660,7 @@ int cmdRun(int Argc, char **Argv) {
     uint64_t T = Kernel.options().Synthesis.PlainModulus;
     auto Calls = parseBatchInputs(InputText, Batch,
                                   Kernel.program().VectorSize, T);
-    bool BadShape = false;
-    if (Calls)
-      for (const auto &Call : *Calls)
-        if (static_cast<int>(Call.size()) != Kernel.program().NumInputs)
-          BadShape = true;
-    if (!Calls || Calls->empty() || BadShape) {
+    if (!Calls || Calls->empty()) {
       std::fprintf(stderr,
                    "error: kernel '%s' needs %d input vector(s) of width <= "
                    "%zu per call (';' between vectors, '|' between --batch "
@@ -690,12 +687,7 @@ int cmdRun(int Argc, char **Argv) {
   driver::Compiler C(COpts);
   uint64_t T = C.options().Synthesis.PlainModulus;
   auto Calls = parseBatchInputs(InputText, Batch, P->VectorSize, T);
-  bool BadShape = false;
-  if (Calls)
-    for (const auto &Call : *Calls)
-      if (static_cast<int>(Call.size()) != P->NumInputs)
-        BadShape = true;
-  if (!Calls || Calls->empty() || BadShape) {
+  if (!Calls || Calls->empty()) {
     std::fprintf(stderr,
                  "error: program needs %d input vector(s) of width <= %zu "
                  "per call (';' between vectors, '|' between --batch "
