@@ -6,19 +6,17 @@
 ///
 /// The related-work contrast the paper draws (section 8.1): prior HE
 /// compilers optimize with local rewrite rules; Porcupine searches the
-/// program space. This bench runs a conventional peephole optimizer
-/// (rotation fusion/CSE, identity folding, strength reduction, DCE) over
-/// the hand-written baselines and compares against the synthesized kernels:
-/// the rewriter recovers none of the synthesis wins, because separable
-/// filters and algebraic factorings are global restructurings with no
-/// local-rule derivation.
+/// program space. This bench runs the `peephole` pass, a conventional
+/// local rewriter (rotation sharing and fusion, identity folding, strength
+/// reduction, dead-code removal), over the hand-written baselines and
+/// compares against the synthesized kernels: the rewriter recovers none
+/// of the synthesis wins, because separable filters and algebraic
+/// factorings are global restructurings with no local-rule derivation.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "kernels/Kernels.h"
-#include "quill/Analysis.h"
-#include "quill/CostModel.h"
-#include "quill/Peephole.h"
+#include "quill/Passes.h"
 
 #include <cstdio>
 
@@ -33,16 +31,15 @@ int main() {
   std::printf("----------------------------------------------------------------"
               "----\n");
 
-  LatencyTable Latency;
-  CostModel Model(Latency);
+  std::unique_ptr<Pass> Peephole = createPass("peephole");
   int RewriteWins = 0, SynthesisWins = 0;
   for (const KernelBundle &B : allKernels()) {
-    PeepholeStats Stats;
-    Program Rewritten = peepholeOptimize(B.Baseline, Latency, &Stats);
+    Program Rewritten = B.Baseline;
+    int Rewrites = Peephole->run(Rewritten, PassContext());
     std::printf("%-24s %9zu %12zu %11zu %9d\n", B.Spec.name().c_str(),
                 B.Baseline.Instructions.size(),
                 Rewritten.Instructions.size(),
-                B.Synthesized.Instructions.size(), Stats.total());
+                B.Synthesized.Instructions.size(), Rewrites);
     if (Rewritten.Instructions.size() < B.Baseline.Instructions.size())
       ++RewriteWins;
     if (B.Synthesized.Instructions.size() < Rewritten.Instructions.size())

@@ -48,6 +48,23 @@ bool readUint(const json::Value &Obj, const char *Key, uint64_t &Out) {
   return true;
 }
 
+/// The latency table's fields under their artifact keys (the names
+/// CompileOptions::canonicalKey() uses, without the "latency." prefix).
+struct LatencyField {
+  const char *Key;
+  double quill::LatencyTable::*Member;
+};
+constexpr LatencyField LatencyFields[] = {
+    {"add_ct_ct", &quill::LatencyTable::AddCtCt},
+    {"add_ct_pt", &quill::LatencyTable::AddCtPt},
+    {"mul_ct_ct", &quill::LatencyTable::MulCtCt},
+    {"mul_ct_pt", &quill::LatencyTable::MulCtPt},
+    {"relin_ct", &quill::LatencyTable::RelinCt},
+    {"rot_ct", &quill::LatencyTable::RotCt},
+    {"sub_ct_ct", &quill::LatencyTable::SubCtCt},
+    {"sub_ct_pt", &quill::LatencyTable::SubCtPt},
+};
+
 } // namespace
 
 std::string driver::renderArtifact(const CompileResult &R,
@@ -70,6 +87,14 @@ std::string driver::renderArtifact(const CompileResult &R,
        std::to_string(R.Params.CoeffModulusBits) +
        ", \"mult_depth\": " + std::to_string(R.Params.MultiplicativeDepth) +
        "},\n";
+  J += "  \"latency\": {";
+  const char *Sep = "";
+  for (const LatencyField &F : LatencyFields) {
+    J += std::string(Sep) + "\"" + F.Key +
+         "\": " + num(Opts.Synthesis.Latency.*F.Member, "%.17g");
+    Sep = ", ";
+  }
+  J += "},\n";
   J += "  \"latency_us\": " + num(R.LatencyEstimateUs) + ",\n";
   J += "  \"cost\": " + num(R.Cost) + ",\n";
   J += "  \"seal_code\": " + json::quote(R.SealCode) + ",\n";
@@ -164,6 +189,19 @@ Expected<ArtifactData> driver::parseArtifact(const std::string &JsonText) {
       A.Params.CoeffModulusBits = static_cast<unsigned>(Bits);
       A.Params.MultiplicativeDepth = static_cast<unsigned>(Depth);
     }
+  }
+  // Artifacts written before the table was recorded price with the
+  // defaults.
+  if (const json::Value *Table = Doc.find("latency")) {
+    if (!Table->isObject())
+      return Status::error("artifact", "latency must be an object");
+    for (const LatencyField &F : LatencyFields)
+      if (const json::Value *V = Table->find(F.Key)) {
+        if (!V->isNumber() || !(V->asNumber() >= 0.0))
+          return Status::error("artifact", std::string("invalid latency ") +
+                                               F.Key);
+        A.Latency.*F.Member = V->asNumber();
+      }
   }
   if (const json::Value *V = Doc.find("latency_us"))
     A.LatencyEstimateUs = V->asNumber();

@@ -9,8 +9,9 @@
 /// wrapping the textual `.quill` program plus everything a serving process
 /// needs to execute it without re-synthesizing — kernel name, compile
 /// fingerprint, the canonical options key it was compiled under, execution
-/// parameters (plaintext modulus, seed), selected BFV parameters, cost
-/// figures, the emitted SEAL code, and pipeline notes.
+/// parameters (plaintext modulus, seed, the latency table it was priced
+/// with), selected BFV parameters, cost figures, the emitted SEAL code, and
+/// pipeline notes.
 ///
 /// Artifacts exist so Engines can warm-start from disk (`porcc compile
 /// --emit-artifact`, then `porcc run --artifact` / Engine::loadArtifact()
@@ -19,7 +20,9 @@
 /// executes garbage.
 ///
 /// Version history:
-///   1 — initial format.
+///   1 — initial format. The "latency" object (the compile's latency
+///       table) is optional: an artifact without it loads with the
+///       default table.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -55,6 +58,9 @@ struct ArtifactData {
   quill::Program Program;
   bool HasParams = false;
   ParameterChoice Params;
+  /// The latency table the kernel was compiled with; a loaded kernel
+  /// executes (and the dry-run backend charges) under it.
+  quill::LatencyTable Latency;
   double LatencyEstimateUs = 0.0;
   double Cost = 0.0;
   std::string SealCode;

@@ -42,7 +42,6 @@
 #include "kernels/KernelRegistry.h"
 #include "quill/Analysis.h"
 #include "quill/Passes.h"
-#include "quill/Peephole.h"
 #include "spec/Equivalence.h"
 #include "support/Status.h"
 #include "synth/Synthesizer.h"
@@ -332,8 +331,9 @@ public:
   /// compiles the bundle.
   Expected<CompileResult> compile(const std::string &KernelName) const;
 
-  /// Compiles a bundle: synthesize (or take the bundled program), optional
-  /// peephole, analyses, parameter selection, codegen.
+  /// Compiles a bundle: synthesize (or take the bundled program), the
+  /// optimizer pipeline (skipped when Pipeline is empty), analyses,
+  /// parameter selection, codegen.
   Expected<CompileResult> compile(const kernels::KernelBundle &B) const;
 
   /// Compiles a bare spec + sketch (no bundled program to fall back to).

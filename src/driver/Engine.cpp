@@ -361,10 +361,12 @@ Expected<Engine::KernelHandle> Engine::loadArtifact(const std::string &Path) {
       {Severity::Note, "artifact", "loaded from artifact '" + Path + "'"});
 
   // The loaded kernel executes under the artifact's recorded execution
-  // parameters, on top of this Engine's defaults for everything else.
+  // parameters and latency table, on top of this Engine's defaults for
+  // everything else.
   CompileOptions Opts = EOpts.Defaults;
   Opts.RunSynthesis = false;
   Opts.Synthesis.PlainModulus = Art->PlainModulus;
+  Opts.Synthesis.Latency = Art->Latency;
   Opts.ExecutionSeed = Art->ExecutionSeed;
 
   std::string OptionsKey =

@@ -7,7 +7,6 @@
 #include "quill/Passes.h"
 
 #include "quill/Analysis.h"
-#include "quill/Peephole.h"
 #include "quill/eqsat/Saturate.h"
 #include "math/ModArith.h"
 
@@ -90,9 +89,9 @@ int pruneDeadCode(Program &P) {
   return Removed;
 }
 
-/// True if the instruction's second operand field participates for its
-/// opcode; used to build injective CSE keys.
-std::tuple<int, int, int, int, int> cseKey(const Instr &I) {
+/// Value-numbering key: equal keys name equal values (commutative operands
+/// are ordered, so add(a, b) and add(b, a) share one key).
+std::tuple<int, int, int, int, int> valueKey(const Instr &I) {
   int A = I.Src0, B = 0, Pt = -1, Rot = 0;
   if (isCtCt(I.Op)) {
     B = I.Src1;
@@ -106,82 +105,260 @@ std::tuple<int, int, int, int, int> cseKey(const Instr &I) {
   return {static_cast<int>(I.Op), A, B, Pt, Rot};
 }
 
-//===----------------------------------------------------------------------===//
-// peephole — the original rewrite-rule optimizer as pass zero
-//===----------------------------------------------------------------------===//
-
-class PeepholePass : public Pass {
-public:
-  const char *name() const override { return "peephole"; }
-  int run(Program &P, const PassContext &Ctx) override {
-    PeepholeStats Stats;
-    Program Opt = peepholeOptimize(P, Ctx.Latency, &Stats);
-    if (Stats.total() == 0)
-      return 0;
-    P = std::move(Opt);
-    return Stats.total();
+/// Uses of each value by the instructions that feed the output (the output
+/// itself counts as one use); dead values read 0.
+std::vector<int> liveUses(const Program &P) {
+  std::vector<int> Uses(P.numValues(), 0);
+  ++Uses[P.outputId()];
+  for (size_t K = P.Instructions.size(); K-- > 0;) {
+    if (!Uses[P.valueOf(K)])
+      continue;
+    const Instr &I = P.Instructions[K];
+    ++Uses[I.Src0];
+    if (isCtCt(I.Op))
+      ++Uses[I.Src1];
   }
-};
+  return Uses;
+}
 
 //===----------------------------------------------------------------------===//
-// cse — global common-subexpression elimination
+// The greedy rewriter: peephole, cse, constfold and rot-dedup
 //===----------------------------------------------------------------------===//
+//
+// The four greedy passes share one walk and differ only in the rules they
+// try. A walk round rebuilds the program front to back: it remaps each
+// instruction's operands into the rebuilt program, tries the rules in
+// order, and appends what survives. Rounds repeat until none fires; one
+// pruneDeadCode then drops what the rewrites orphaned. Every rule is exact
+// at any row width: rotation amounts and keys stay raw, never reduced mod
+// the program width, so a rewritten program computes the same ciphertext
+// row as the original.
 
-class CsePass : public Pass {
-public:
-  const char *name() const override { return "cse"; }
-  int run(Program &P, const PassContext &) override {
-    Program Out = headerOf(P);
-    std::vector<int> Map(P.numValues(), -1);
-    for (int I = 0; I < P.NumInputs; ++I)
-      Map[I] = I;
-    std::map<std::tuple<int, int, int, int, int>, int> Seen;
-    int Rewrites = 0;
-    for (size_t K = 0; K < P.Instructions.size(); ++K) {
-      Instr I = P.Instructions[K];
-      I.Src0 = Map[I.Src0];
-      if (isCtCt(I.Op))
-        I.Src1 = Map[I.Src1];
-      auto Key = cseKey(I);
-      auto It = Seen.find(Key);
-      if (It != Seen.end()) {
-        Map[P.valueOf(K)] = It->second;
-        ++Rewrites;
+struct Walk;
+
+/// A local rewrite rule. It sees one instruction whose operands name
+/// rebuilt values and either forwards it to an equal rebuilt value (sets
+/// \p Fwd) or rewrites \p I in place. Returns whether it fired.
+using Rule = bool (*)(Walk &W, Instr &I, int &Fwd);
+
+/// One round's rebuilt program and what the rules may ask about it.
+struct Walk {
+  Walk(const Program &In, const PassContext &Ctx,
+       const std::vector<Rule> &Rules, std::vector<int> InputUses)
+      : Out(headerOf(In)), Ctx(Ctx), Rules(Rules),
+        Uses(std::move(InputUses)) {}
+
+  /// Runs \p I through the rules, restarting after every rewrite, and
+  /// appends it unless a rule forwarded it. Returns the id of its value,
+  /// which gains \p NewUses uses.
+  int emit(Instr I, int NewUses) {
+    for (size_t R = 0; R < Rules.size();) {
+      int Fwd = -1;
+      if (!Rules[R](*this, I, Fwd)) {
+        ++R;
         continue;
       }
-      int Id = Out.append(I);
-      Seen.emplace(Key, Id);
-      Map[P.valueOf(K)] = Id;
+      ++Rewrites;
+      if (Fwd >= 0) {
+        Uses[Fwd] += NewUses;
+        return Fwd;
+      }
+      R = 0;
     }
-    if (!Rewrites)
-      return 0;
-    Out.Output = Map[P.outputId()];
-    P = std::move(Out);
-    return Rewrites;
+    int Id = Out.append(I);
+    Uses.push_back(NewUses);
+    Numbers.emplace(valueKey(I), Id);
+    return Id;
   }
+
+  /// The rebuilt instruction defining \p Id, or nullptr for an input. It
+  /// points into the vector emit() appends to: read it before emitting.
+  const Instr *def(int Id) const {
+    return Id < Out.NumInputs ? nullptr
+                              : &Out.Instructions[Id - Out.NumInputs];
+  }
+
+  /// An already rebuilt value equal to \p I, or -1.
+  int lookup(const Instr &I) const {
+    auto It = Numbers.find(valueKey(I));
+    return It == Numbers.end() ? -1 : It->second;
+  }
+
+  /// True if constant \p PtIdx is a splat; \p V gets its residue mod t.
+  bool splat(int PtIdx, uint64_t &V) const {
+    const PlainConstant &C = Out.Constants[PtIdx];
+    if (!C.isSplat())
+      return false;
+    V = toResidue(C.Values[0], Ctx.PlainModulus);
+    return true;
+  }
+
+  Program Out;
+  const PassContext &Ctx;
+  const std::vector<Rule> &Rules;
+  /// Live uses of each rebuilt value, carried over from the round's input.
+  std::vector<int> Uses;
+  std::map<std::tuple<int, int, int, int, int>, int> Numbers;
+  int Rewrites = 0;
 };
 
-//===----------------------------------------------------------------------===//
-// constfold — identities, rotate-by-0, raw rotation fusion, splat chains
-//===----------------------------------------------------------------------===//
+/// Any instruction equal to a rebuilt one reuses it (value numbering).
+bool shareAll(Walk &W, Instr &I, int &Fwd) {
+  Fwd = W.lookup(I);
+  return Fwd >= 0;
+}
 
-class ConstFoldPass : public Pass {
+/// A rotation equal to a rebuilt one (same source, same raw amount)
+/// reuses it.
+bool shareRotations(Walk &W, Instr &I, int &Fwd) {
+  return I.Op == Opcode::RotCt && shareAll(W, I, Fwd);
+}
+
+/// rot(x, 0) -> x. validate() rejects such rotations, so this only guards
+/// intermediate forms.
+bool rotateByZero(Walk &, Instr &I, int &Fwd) {
+  if (I.Op != Opcode::RotCt || I.Rot != 0)
+    return false;
+  Fwd = I.Src0;
+  return true;
+}
+
+/// rot(rot(x, a), b) -> rot(x, a + b), and -> x when a + b == 0. A sum
+/// that is a nonzero multiple of the width is the identity only on a row
+/// of exactly that width, so that pair is left alone.
+bool fuseRotations(Walk &W, Instr &I, int &Fwd) {
+  const Instr *D = I.Op == Opcode::RotCt ? W.def(I.Src0) : nullptr;
+  if (!D || D->Op != Opcode::RotCt)
+    return false;
+  long Sum = static_cast<long>(D->Rot) + I.Rot;
+  if (Sum == 0) {
+    Fwd = D->Src0;
+    return true;
+  }
+  long Width = static_cast<long>(W.Out.VectorSize);
+  if (Width && Sum % Width == 0)
+    return false;
+  I = Instr::rot(D->Src0, static_cast<int>(Sum));
+  return true;
+}
+
+/// x + 0, x - 0, x * 1 -> x; x * 0 -> sub(x, x), a zero that needs no
+/// constant and keeps the component degree of x. Splats compare mod t.
+bool identities(Walk &W, Instr &I, int &Fwd) {
+  uint64_t V = 0;
+  if (!isCtPt(I.Op) || !W.splat(I.PtIdx, V))
+    return false;
+  bool Mul = I.Op == Opcode::MulCtPt;
+  if (V == (Mul ? 1u : 0u)) {
+    Fwd = I.Src0;
+    return true;
+  }
+  if (!Mul || V != 0)
+    return false;
+  I = Instr::ctCt(Opcode::SubCtCt, I.Src0, I.Src0);
+  return true;
+}
+
+/// (x ± a) ± b -> x + (±a ± b) and (x * a) * b -> x * (a * b), mod t.
+bool splatChains(Walk &W, Instr &I, int &) {
+  const Instr *D = isCtPt(I.Op) ? W.def(I.Src0) : nullptr;
+  uint64_t A = 0, B = 0;
+  if (!D || !isCtPt(D->Op) || !W.splat(D->PtIdx, A) || !W.splat(I.PtIdx, B))
+    return false;
+  bool Mul = I.Op == Opcode::MulCtPt;
+  if (Mul != (D->Op == Opcode::MulCtPt))
+    return false;
+  uint64_t T = W.Ctx.PlainModulus;
+  uint64_t Net =
+      Mul ? mulMod(A, B, T)
+          : addMod(D->Op == Opcode::SubCtPt ? negMod(A, T) : A,
+                   I.Op == Opcode::SubCtPt ? negMod(B, T) : B, T);
+  int X = D->Src0;
+  int Idx = W.Out.internConstant(PlainConstant{{toCentered(Net, T)}});
+  I = Instr::ctPt(Mul ? Opcode::MulCtPt : Opcode::AddCtPt, X, Idx);
+  return true;
+}
+
+/// x * 2 -> x + x when an addition is cheaper than a ct-pt multiply.
+bool mulByTwo(Walk &W, Instr &I, int &) {
+  uint64_t V = 0;
+  if (I.Op != Opcode::MulCtPt || !W.splat(I.PtIdx, V) || V != 2 ||
+      !(W.Ctx.Latency.AddCtCt < W.Ctx.Latency.MulCtPt))
+    return false;
+  I = Instr::ctCt(Opcode::AddCtCt, I.Src0, I.Src0);
+  return true;
+}
+
+/// op(rot(x, a), rot(y, a)) -> rot(op(x, y), a) when both rotations die
+/// with the op. Rotations are Galois automorphisms, so they distribute
+/// over every slot-wise ring operation at any width; in explicit-relin
+/// form a raw product has three components no rotation can take, so only
+/// add and sub hoist there.
+bool hoistRotations(Walk &W, Instr &I, int &) {
+  if (!isCtCt(I.Op) || (I.Op == Opcode::MulCtCt && W.Out.ExplicitRelin))
+    return false;
+  const Instr *A = W.def(I.Src0);
+  const Instr *B = W.def(I.Src1);
+  if (!A || !B || A->Op != Opcode::RotCt || B->Op != Opcode::RotCt ||
+      A->Rot != B->Rot)
+    return false;
+  bool SingleUse = I.Src0 == I.Src1
+                       ? W.Uses[I.Src0] == 2
+                       : W.Uses[I.Src0] == 1 && W.Uses[I.Src1] == 1;
+  if (!SingleUse)
+    return false;
+  int X = A->Src0, Y = B->Src0, Amount = A->Rot;
+  I = Instr::rot(W.emit(Instr::ctCt(I.Op, X, Y), 1), Amount);
+  return true;
+}
+
+/// One walk round over \p P. Commits the rebuilt program and returns the
+/// rule applications, or returns 0 and leaves \p P untouched.
+int rewriteOnce(Program &P, const PassContext &Ctx,
+                const std::vector<Rule> &Rules) {
+  std::vector<int> Uses = liveUses(P);
+  Walk W(P, Ctx, Rules,
+         std::vector<int>(Uses.begin(), Uses.begin() + P.NumInputs));
+  std::vector<int> Map(P.numValues(), -1);
+  for (int I = 0; I < P.NumInputs; ++I)
+    Map[I] = I;
+  for (size_t K = 0; K < P.Instructions.size(); ++K) {
+    Instr I = P.Instructions[K];
+    I.Src0 = Map[I.Src0];
+    if (isCtCt(I.Op))
+      I.Src1 = Map[I.Src1];
+    int Id = P.valueOf(K);
+    Map[Id] = W.emit(I, Uses[Id]);
+  }
+  if (!W.Rewrites)
+    return 0;
+  W.Out.Output = Map[P.outputId()];
+  P = std::move(W.Out);
+  return W.Rewrites;
+}
+
+/// A greedy pass: a name and the rules its walk tries, in order. Its
+/// rewrite count is the rule applications plus the input's dead
+/// instructions.
+class RewritePass : public Pass {
 public:
-  const char *name() const override { return "constfold"; }
+  RewritePass(const char *Name, std::vector<Rule> Rules)
+      : Name(Name), Rules(std::move(Rules)) {}
+
+  const char *name() const override { return Name; }
 
   int run(Program &P, const PassContext &Ctx) override {
-    int Total = 0;
-    // Each round folds one layer of chains; iterate to fixpoint. The hard
-    // cap guards a future oscillating rule even in assert-free builds:
-    // every round preserves semantics, so breaking early returns a valid
-    // (merely under-folded) program instead of hanging.
-    for (;;) {
-      int N = foldOnce(P, Ctx);
+    int Total = static_cast<int>(deadValues(P).size());
+    // Every rule removes an instruction or moves one onto an earlier
+    // definition, so the rounds end; the cap guards a future rule that
+    // does not (each round preserves semantics, so stopping is safe).
+    for (int Round = 1;; ++Round) {
+      int N = rewriteOnce(P, Ctx, Rules);
       if (!N)
         break;
       Total += N;
-      assert(Total < 100000 && "constfold failed to reach a fixed point");
-      if (Total >= 100000)
+      assert(Round < 4096 && "greedy rewriter failed to reach a fixed point");
+      if (Round >= 4096)
         break;
     }
     if (Total)
@@ -190,149 +367,8 @@ public:
   }
 
 private:
-  static bool splatOf(const Program &P, int PtIdx, int64_t &Out) {
-    const PlainConstant &C = P.Constants[PtIdx];
-    if (!C.isSplat())
-      return false;
-    Out = C.Values[0];
-    return true;
-  }
-
-  int foldOnce(Program &P, const PassContext &Ctx) {
-    uint64_t T = Ctx.PlainModulus;
-    long Width = static_cast<long>(P.VectorSize);
-    Program Out = headerOf(P);
-    std::vector<int> Map(P.numValues(), -1);
-    for (int I = 0; I < P.NumInputs; ++I)
-      Map[I] = I;
-    int N = 0;
-
-    // The defining instruction of an *output* value id, if any.
-    auto defOf = [&](int NewId) -> const Instr * {
-      if (NewId < Out.NumInputs)
-        return nullptr;
-      return &Out.Instructions[NewId - Out.NumInputs];
-    };
-
-    for (size_t K = 0; K < P.Instructions.size(); ++K) {
-      Instr I = P.Instructions[K];
-      int Dst = P.valueOf(K);
-      I.Src0 = Map[I.Src0];
-      if (isCtCt(I.Op))
-        I.Src1 = Map[I.Src1];
-
-      if (isCtPt(I.Op)) {
-        int64_t V;
-        if (splatOf(P, I.PtIdx, V)) {
-          uint64_t VR = toResidue(V, T);
-          // Identities: x + 0, x - 0, x * 1.
-          bool Identity =
-              ((I.Op == Opcode::AddCtPt || I.Op == Opcode::SubCtPt) &&
-               VR == 0) ||
-              (I.Op == Opcode::MulCtPt && VR == 1);
-          if (Identity) {
-            Map[Dst] = I.Src0;
-            ++N;
-            continue;
-          }
-          // x * 0 -> canonical zero (sub(x, x) needs no constant table
-          // entry and keeps the component degree of x).
-          if (I.Op == Opcode::MulCtPt && VR == 0) {
-            Map[Dst] = Out.append(Instr::ctCt(Opcode::SubCtCt, I.Src0,
-                                              I.Src0));
-            ++N;
-            continue;
-          }
-          // Splat chains: (x ± a) ± b  ->  x + (±a ± b),
-          //               (x * a) * b  ->  x * (a * b)   (all mod t).
-          if (const Instr *Def = defOf(I.Src0)) {
-            int64_t W;
-            bool OuterAddSub =
-                I.Op == Opcode::AddCtPt || I.Op == Opcode::SubCtPt;
-            bool InnerAddSub =
-                Def->Op == Opcode::AddCtPt || Def->Op == Opcode::SubCtPt;
-            if (OuterAddSub && InnerAddSub && splatOf(Out, Def->PtIdx, W)) {
-              uint64_t Inner = Def->Op == Opcode::AddCtPt
-                                   ? toResidue(W, T)
-                                   : negMod(toResidue(W, T), T);
-              uint64_t Outer = I.Op == Opcode::AddCtPt
-                                   ? VR
-                                   : negMod(VR, T);
-              uint64_t Net = addMod(Inner, Outer, T);
-              if (Net == 0) {
-                Map[Dst] = Def->Src0;
-              } else {
-                int Idx = Out.internConstant(PlainConstant{{toCentered(Net, T)}});
-                Map[Dst] =
-                    Out.append(Instr::ctPt(Opcode::AddCtPt, Def->Src0, Idx));
-              }
-              ++N;
-              continue;
-            }
-            if (I.Op == Opcode::MulCtPt && Def->Op == Opcode::MulCtPt &&
-                splatOf(Out, Def->PtIdx, W)) {
-              uint64_t Net = mulMod(toResidue(W, T), VR, T);
-              if (Net == 1) {
-                Map[Dst] = Def->Src0;
-              } else if (Net == 0) {
-                Map[Dst] = Out.append(
-                    Instr::ctCt(Opcode::SubCtCt, Def->Src0, Def->Src0));
-              } else {
-                int Idx = Out.internConstant(PlainConstant{{toCentered(Net, T)}});
-                Map[Dst] =
-                    Out.append(Instr::ctPt(Opcode::MulCtPt, Def->Src0, Idx));
-              }
-              ++N;
-              continue;
-            }
-          }
-        }
-        Map[Dst] = Out.append(I);
-        continue;
-      }
-
-      if (I.Op == Opcode::RotCt) {
-        // Rotate-by-0. validate() rejects such programs, so on valid input
-        // this only matters as a guard for intermediate forms.
-        if (Width > 0 && I.Rot % Width == 0) {
-          Map[Dst] = I.Src0;
-          ++N;
-          continue;
-        }
-        // Double-rotation fusion over *raw* amounts: rot(rot(x,a),b) is
-        // rot(x,a+b) at every vector width. When a+b == 0 the pair cancels
-        // outright; when a+b is a nonzero multiple of the width the fusion
-        // would need the width-W-cyclic model (it would not survive wider
-        // rows), so the pair is left alone — the peephole handles it under
-        // the paper's model.
-        if (const Instr *Def = defOf(I.Src0)) {
-          if (Def->Op == Opcode::RotCt) {
-            long Sum = static_cast<long>(Def->Rot) + I.Rot;
-            if (Sum == 0) {
-              Map[Dst] = Def->Src0;
-              ++N;
-              continue;
-            }
-            if (Width > 0 && Sum % Width != 0) {
-              Map[Dst] = Out.append(
-                  Instr::rot(Def->Src0, static_cast<int>(Sum)));
-              ++N;
-              continue;
-            }
-          }
-        }
-        Map[Dst] = Out.append(I);
-        continue;
-      }
-
-      Map[Dst] = Out.append(I);
-    }
-    if (!N)
-      return 0;
-    Out.Output = Map[P.outputId()];
-    P = std::move(Out);
-    return N;
-  }
+  const char *Name;
+  std::vector<Rule> Rules;
 };
 
 //===----------------------------------------------------------------------===//
@@ -483,101 +519,6 @@ public:
   }
 };
 
-//===----------------------------------------------------------------------===//
-// rot-dedup — rotation sharing and hoisting
-//===----------------------------------------------------------------------===//
-
-class RotDedupPass : public Pass {
-public:
-  const char *name() const override { return "rot-dedup"; }
-
-  int run(Program &P, const PassContext &) override {
-    // Use counts over the original program (output counts as a use) gate
-    // the hoist: rewriting op(rot(x,a), rot(y,a)) to rot(op(x,y), a) only
-    // pays when both rotations die with the op.
-    std::vector<int> Uses(P.numValues(), 0);
-    for (const Instr &I : P.Instructions) {
-      ++Uses[I.Src0];
-      if (isCtCt(I.Op))
-        ++Uses[I.Src1];
-    }
-    ++Uses[P.outputId()];
-
-    auto oldDef = [&](int Id) -> const Instr * {
-      if (Id < P.NumInputs)
-        return nullptr;
-      return &P.Instructions[Id - P.NumInputs];
-    };
-
-    Program Out = headerOf(P);
-    std::vector<int> Map(P.numValues(), -1);
-    for (int I = 0; I < P.NumInputs; ++I)
-      Map[I] = I;
-    std::map<std::pair<int, int>, int> RotTable; // (new src, raw amt) -> id
-    int Rewrites = 0;
-
-    for (size_t K = 0; K < P.Instructions.size(); ++K) {
-      Instr I = P.Instructions[K];
-      int Dst = P.valueOf(K);
-
-      if (I.Op == Opcode::RotCt) {
-        int Src = Map[I.Src0];
-        auto Key = std::make_pair(Src, I.Rot);
-        auto It = RotTable.find(Key);
-        if (It != RotTable.end()) {
-          Map[Dst] = It->second;
-          ++Rewrites;
-          continue;
-        }
-        int Id = Out.append(Instr::rot(Src, I.Rot));
-        RotTable.emplace(Key, Id);
-        Map[Dst] = Id;
-        continue;
-      }
-
-      if (isCtCt(I.Op)) {
-        // Hoist: rotations distribute over every slot-wise ring operation
-        // (they are Galois automorphisms), exactly at any width. A raw
-        // mul-ct-ct result has three components which a rotation cannot
-        // consume, so in explicit-relin form only add/sub hoist.
-        const Instr *DA = oldDef(I.Src0);
-        const Instr *DB = oldDef(I.Src1);
-        bool SameRot = DA && DB && DA->Op == Opcode::RotCt &&
-                       DB->Op == Opcode::RotCt && DA->Rot == DB->Rot;
-        bool SingleUse =
-            I.Src0 == I.Src1
-                ? Uses[I.Src0] == 2
-                : (Uses[I.Src0] == 1 && Uses[I.Src1] == 1);
-        bool DegreeOk = !(P.ExplicitRelin && I.Op == Opcode::MulCtCt);
-        if (SameRot && SingleUse && DegreeOk) {
-          int X = Map[DA->Src0];
-          int Y = Map[DB->Src0];
-          int OpId = Out.append(Instr::ctCt(I.Op, X, Y));
-          auto Key = std::make_pair(OpId, DA->Rot);
-          int RotId = Out.append(Instr::rot(OpId, DA->Rot));
-          RotTable.emplace(Key, RotId);
-          Map[Dst] = RotId;
-          ++Rewrites;
-          continue;
-        }
-        I.Src0 = Map[I.Src0];
-        I.Src1 = Map[I.Src1];
-        Map[Dst] = Out.append(I);
-        continue;
-      }
-
-      I.Src0 = Map[I.Src0];
-      Map[Dst] = Out.append(I);
-    }
-    if (!Rewrites)
-      return 0;
-    Out.Output = Map[P.outputId()];
-    P = std::move(Out);
-    pruneDeadCode(P);
-    return Rewrites;
-  }
-};
-
 } // namespace
 
 //===----------------------------------------------------------------------===//
@@ -595,15 +536,20 @@ std::vector<std::string> quill::knownPassNames() {
 
 std::unique_ptr<Pass> quill::createPass(const std::string &Name) {
   if (Name == "peephole")
-    return std::make_unique<PeepholePass>();
+    return std::make_unique<RewritePass>(
+        "peephole", std::vector<Rule>{shareRotations, rotateByZero,
+                                      fuseRotations, identities, mulByTwo});
   if (Name == "cse")
-    return std::make_unique<CsePass>();
+    return std::make_unique<RewritePass>("cse", std::vector<Rule>{shareAll});
   if (Name == "constfold")
-    return std::make_unique<ConstFoldPass>();
+    return std::make_unique<RewritePass>(
+        "constfold", std::vector<Rule>{identities, splatChains, rotateByZero,
+                                       fuseRotations});
   if (Name == "lazy-relin")
     return std::make_unique<LazyRelinPass>();
   if (Name == "rot-dedup")
-    return std::make_unique<RotDedupPass>();
+    return std::make_unique<RewritePass>(
+        "rot-dedup", std::vector<Rule>{shareRotations, hoistRotations});
   if (Name == "eqsat")
     return eqsat::createEqSatPass();
   return nullptr;

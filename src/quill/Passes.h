@@ -13,16 +13,21 @@
 /// pass whose rewrite increases CostModel cost, so a pipeline can never
 /// make a program worse under the paper's cost function.
 ///
-/// Shipped passes (pipeline-string names):
+/// Shipped passes (pipeline-string names). peephole, cse, constfold and
+/// rot-dedup are one greedy rewriter: a walk that rebuilds the program
+/// front to back, tries each instruction against the pass's rules in
+/// order, repeats until no rule fires, then drops dead code. Each of the
+/// four names is just its list of rules:
 ///
-///   peephole   The original rewrite-rule optimizer (Peephole.h) as pass
-///              number zero: rotation fusion/CSE, identity folds, strength
-///              reduction, dead-code elimination.
-///   cse        Global common-subexpression elimination by value numbering
-///              (commutative operands normalized).
-///   constfold  Constant folding and identity simplification: x+0, x-0,
-///              x*1, x*0, rotate-by-0, raw double-rotation fusion, and
-///              splat constant-chain folding mod t.
+///   peephole   The local rules of earlier HE compilers, kept as the
+///              ablation baseline (bench_ablation_rewrite): share
+///              rotations, rotate-by-0, fuse rotations, identities (x+0,
+///              x-0, x*1, x*0 -> sub(x,x)), and x*2 -> x+x when an
+///              addition is cheaper than a ct-pt multiply.
+///   cse        Share any identical instruction (value numbering,
+///              commutative operands normalized).
+///   constfold  Identities, splat constant chains folded mod t,
+///              rotate-by-0, fuse rotations.
 ///   lazy-relin EVA-style lazy relinearization: converts to explicit-relin
 ///              form (Program::ExplicitRelin), sinking each mul-ct-ct's
 ///              relinearization to the first consumer that needs a
@@ -30,24 +35,28 @@
 ///              and eliding it entirely when no rotation or multiply (or
 ///              anything besides add/sub/ct-pt ops and the output)
 ///              consumes the product.
-///   rot-dedup  Rotation deduplication and hoisting: shares identical
-///              rotations and rewrites op(rot(x,a), rot(y,a)) into
-///              rot(op(x,y), a), shrinking both the instruction stream and
-///              the Galois key set requiredRotations() reports.
-///   eqsat      Equality-saturation superoptimizer (src/quill/eqsat/): all
-///              of the above axioms as an e-graph saturation instead of
-///              greedy ordered rewrites, extracted by CostModel with a
-///              relin-aware scoring term. Budgeted via PassContext::EqSat;
-///              commits only strict cost improvements. Not in the default
-///              pipeline — opt in with "...,eqsat".
+///   rot-dedup  Share rotations, and hoist op(rot(x,a), rot(y,a)) into
+///              rot(op(x,y), a) when both rotations die with the op,
+///              shrinking both the instruction stream and the Galois key
+///              set requiredRotations() reports.
+///   eqsat      Equality-saturation superoptimizer (src/quill/eqsat/): the
+///              rewrite axioms as an e-graph saturation instead of greedy
+///              ordered rewrites, with its own rule table, extracted by
+///              CostModel with a relin-aware scoring term. Budgeted via
+///              PassContext::EqSat; commits only strict cost improvements.
+///              Not in the default pipeline — opt in with "...,eqsat".
 ///
-/// All passes are deterministic and idempotent (a second run returns 0
-/// rewrites), so any pipeline is a no-op on its own output; eqsat is
-/// idempotent whenever its budgets let saturation reach a fixpoint (the
-/// defaults do on every bundled kernel — a budget-stopped run may still
-/// find more on a rerun). Unlike the width-W-cyclic peephole, every
-/// other pass, eqsat included, only applies rewrites that are also exact
-/// on wider ciphertext rows (width portability).
+/// Every pass is width-exact: no rewrite reduces a rotation amount or a
+/// rotation key mod the program width, and a fused rotation whose amount
+/// is a nonzero multiple of the width is left alone. An optimized program
+/// therefore computes the same whole ciphertext row as its input, not
+/// only the same first VectorSize slots.
+///
+/// All passes are deterministic. The greedy passes run to a fixed point,
+/// so a second run returns 0 rewrites. eqsat is idempotent only where its
+/// budgets let saturation reach a fixpoint: the defaults saturate 7 of the
+/// 13 bundled kernels, and the three `.porc` workloads stop on the node
+/// cap, so a rerun there may find more.
 ///
 //===----------------------------------------------------------------------===//
 

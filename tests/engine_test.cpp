@@ -482,6 +482,32 @@ TEST(Artifact, SaveLoadExecuteRoundTrip) {
   std::remove(Path.c_str());
 }
 
+TEST(Artifact, LoadedKernelChargesWithItsCompileLatencyTable) {
+  // A kernel compiled under a non-default latency table and loaded into an
+  // Engine with the default table must still be charged what its compile
+  // estimated: the artifact carries the table.
+  CompileOptions Opts = dryrunOptions();
+  Opts.Synthesis.Latency.RotCt = 3000;
+  Engine E(EngineOptions{1, 1, Opts});
+  auto K = E.get("dot product");
+  ASSERT_TRUE(K.hasValue()) << K.status().toString();
+
+  const std::string Path = "engine_test_latency_artifact.tmp.json";
+  ASSERT_TRUE(saveArtifact(**K, Path).ok());
+  Engine Fresh(EngineOptions{1, 1, dryrunOptions()});
+  auto L = Fresh.loadArtifact(Path);
+  std::remove(Path.c_str());
+  ASSERT_TRUE(L.hasValue()) << L.status().toString();
+  EXPECT_EQ((*L)->result().LatencyEstimateUs,
+            (*K)->result().LatencyEstimateUs);
+
+  const quill::Program &P = (*L)->program();
+  auto Out = (*L)->execute(std::vector<std::vector<uint64_t>>(
+      P.NumInputs, std::vector<uint64_t>(P.VectorSize, 2)));
+  ASSERT_TRUE(Out.hasValue()) << Out.status().toString();
+  EXPECT_EQ(Out->ChargedLatencyUs, (*L)->result().LatencyEstimateUs);
+}
+
 TEST(Artifact, NastyKernelNamesSurviveTheJsonRoundTrip) {
   CompileResult R;
   R.KernelName = "evil \"name\"\\with\nnewline\tand\x01control";

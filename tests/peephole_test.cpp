@@ -1,10 +1,10 @@
-//===- tests/peephole_test.cpp - Rewrite-rule optimizer tests -------------===//
+//===- tests/peephole_test.cpp - peephole pass tests ----------------------===//
 //
 // Part of the Porcupine reproduction. MIT license.
 //
 //===----------------------------------------------------------------------===//
 
-#include "quill/Peephole.h"
+#include "quill/Passes.h"
 
 #include "quill/Analysis.h"
 #include "quill/Interpreter.h"
@@ -20,7 +20,10 @@ namespace {
 
 constexpr uint64_t T = 65537;
 
-LatencyTable table() { return LatencyTable(); }
+/// Runs the peephole pass over \p P in place; returns its rewrite count.
+int peephole(Program &P) {
+  return createPass("peephole")->run(P, PassContext());
+}
 
 /// Semantic equivalence on random inputs.
 void expectSameBehavior(const Program &A, const Program &B, unsigned Seed) {
@@ -43,9 +46,8 @@ TEST(Peephole, FusesRotationChains) {
   int B = P.append(Instr::rot(A, 3));
   P.append(Instr::ctCt(Opcode::AddCtCt, B, 0));
 
-  PeepholeStats Stats;
-  Program Opt = peepholeOptimize(P, table(), &Stats);
-  EXPECT_GE(Stats.RotationsFused, 1);
+  Program Opt = P;
+  EXPECT_GE(peephole(Opt), 1);
   EXPECT_EQ(Opt.Instructions.size(), 2u); // rot 5 + add.
   expectSameBehavior(P, Opt, 1);
 }
@@ -55,10 +57,11 @@ TEST(Peephole, CancellingRotationsVanish) {
   P.NumInputs = 1;
   P.VectorSize = 8;
   int A = P.append(Instr::rot(0, 3));
-  int B = P.append(Instr::rot(A, 5)); // 3 + 5 = 8 = identity.
+  int B = P.append(Instr::rot(A, -3)); // 3 - 3 = 0 = identity.
   P.append(Instr::ctCt(Opcode::AddCtCt, B, 0));
 
-  Program Opt = peepholeOptimize(P, table(), nullptr);
+  Program Opt = P;
+  peephole(Opt);
   // add(x, x) is all that remains.
   EXPECT_EQ(countInstructions(Opt).Rotations, 0);
   expectSameBehavior(P, Opt, 2);
@@ -73,8 +76,8 @@ TEST(Peephole, DeduplicatesRotations) {
   int S = P.append(Instr::ctCt(Opcode::AddCtCt, A, 0));
   P.append(Instr::ctCt(Opcode::AddCtCt, S, B));
 
-  PeepholeStats Stats;
-  Program Opt = peepholeOptimize(P, table(), &Stats);
+  Program Opt = P;
+  peephole(Opt);
   EXPECT_EQ(countInstructions(Opt).Rotations, 1);
   expectSameBehavior(P, Opt, 3);
 }
@@ -89,9 +92,8 @@ TEST(Peephole, FoldsIdentities) {
   int B = P.append(Instr::ctPt(Opcode::MulCtPt, A, One));
   P.append(Instr::ctCt(Opcode::AddCtCt, B, B));
 
-  PeepholeStats Stats;
-  Program Opt = peepholeOptimize(P, table(), &Stats);
-  EXPECT_GE(Stats.IdentitiesFolded, 2);
+  Program Opt = P;
+  EXPECT_GE(peephole(Opt), 2);
   EXPECT_EQ(Opt.Instructions.size(), 1u);
   expectSameBehavior(P, Opt, 4);
 }
@@ -103,9 +105,8 @@ TEST(Peephole, StrengthReducesMulByTwo) {
   int Two = P.internConstant(PlainConstant{{2}});
   P.append(Instr::ctPt(Opcode::MulCtPt, 0, Two));
 
-  PeepholeStats Stats;
-  Program Opt = peepholeOptimize(P, table(), &Stats);
-  EXPECT_EQ(Stats.OpsStrengthReduced, 1);
+  Program Opt = P;
+  EXPECT_EQ(peephole(Opt), 1);
   EXPECT_EQ(countInstructions(Opt).CtPtMuls, 0);
   expectSameBehavior(P, Opt, 5);
 }
@@ -118,9 +119,8 @@ TEST(Peephole, RemovesDeadCode) {
   int B = P.append(Instr::rot(0, 2));
   P.append(Instr::ctCt(Opcode::AddCtCt, 0, B));
 
-  PeepholeStats Stats;
-  Program Opt = peepholeOptimize(P, table(), &Stats);
-  EXPECT_GE(Stats.DeadInstructionsRemoved, 1);
+  Program Opt = P;
+  EXPECT_GE(peephole(Opt), 1);
   EXPECT_TRUE(deadValues(Opt).empty());
   expectSameBehavior(P, Opt, 6);
 }
@@ -131,8 +131,8 @@ TEST(Peephole, BaselinesAreAlreadyPeepholeClean) {
   // the synthesized wins (separability, factoring) are *global*
   // restructurings no local rule discovers.
   for (const auto &B : kernels::allKernels()) {
-    PeepholeStats Stats;
-    Program Opt = peepholeOptimize(B.Baseline, table(), &Stats);
+    Program Opt = B.Baseline;
+    peephole(Opt);
     EXPECT_EQ(Opt.Instructions.size(), B.Baseline.Instructions.size())
         << B.Spec.name();
     // And it certainly cannot reach the synthesized instruction count for
@@ -145,8 +145,10 @@ TEST(Peephole, BaselinesAreAlreadyPeepholeClean) {
 
 TEST(Peephole, IdempotentOnOptimizedPrograms) {
   for (const auto &B : kernels::allKernels()) {
-    Program Once = peepholeOptimize(B.Synthesized, table(), nullptr);
-    Program Twice = peepholeOptimize(Once, table(), nullptr);
+    Program Once = B.Synthesized;
+    peephole(Once);
+    Program Twice = Once;
+    peephole(Twice);
     EXPECT_EQ(printProgram(Once), printProgram(Twice)) << B.Spec.name();
   }
 }
@@ -184,7 +186,8 @@ TEST(Peephole, PreservesSemanticsOnRandomPrograms) {
         break;
       }
     }
-    Program Opt = peepholeOptimize(P, table(), nullptr);
+    Program Opt = P;
+    peephole(Opt);
     EXPECT_LE(Opt.Instructions.size(), P.Instructions.size());
     expectSameBehavior(P, Opt, 100 + Trial);
   }

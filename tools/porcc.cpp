@@ -78,7 +78,6 @@
 #include "quill/Analysis.h"
 #include "quill/Passes.h"
 #include "support/Json.h"
-#include "support/Random.h"
 #include "support/Timing.h"
 
 #include <algorithm>
@@ -384,18 +383,19 @@ std::optional<quill::Program> loadProgram(const char *Path);
 
 /// `porcc opt`: run an optimizer pipeline over one program, one pass at a
 /// time, reporting per-pass statistics (and, with --print-after-all, the
-/// program after every pass). Each pass runs under its own single-pass
-/// manager so intermediate programs are observable; verification and the
-/// cost-monotonicity guard apply exactly as in a full-pipeline run.
+/// program after every pass). Each pass is one Compiler::optimize() call
+/// with that pass as the whole pipeline, so intermediate programs are
+/// observable while verification, its examples and the cost-monotonicity
+/// guard are exactly those of `porcc compile --pipeline`.
 int cmdOpt(int Argc, char **Argv) {
   if (!hasPositional(Argc, Argv))
     return usage();
   const char *Target = Argv[0];
   bool PrintAfterAll = hasFlag(Argc, Argv, "--print-after-all");
   bool Json = hasFlag(Argc, Argv, "--json");
-  std::string Pipeline = quill::defaultPipeline();
-  if (const char *Pipe = argValue(Argc, Argv, "--pipeline", nullptr))
-    Pipeline = Pipe;
+  // --pipeline and the --eqsat-* budgets, read as `porcc compile` does.
+  driver::Compiler C(optionsFromFlags(Argc, Argv));
+  const std::string Pipeline = C.options().Pipeline;
 
   // Resolve the program: a .quill file, or a bundled kernel by name.
   quill::Program P;
@@ -406,7 +406,6 @@ int cmdOpt(int Argc, char **Argv) {
       return 1;
     P = std::move(*Loaded);
   } else {
-    driver::Compiler C;
     const KernelBundle *B = lookupKernel(C, Target);
     if (!B)
       return 1;
@@ -432,36 +431,17 @@ int cmdOpt(int Argc, char **Argv) {
   // empty pipeline is a valid no-op.
   std::vector<std::string> Stages;
   std::string Cur;
-  for (char C : Pipeline + ",") {
-    if (C == ',') {
+  for (char Ch : Pipeline + ",") {
+    if (Ch == ',') {
       if (!Cur.empty())
         Stages.push_back(Cur);
       Cur.clear();
-    } else if (C != ' ') {
-      Cur.push_back(C);
+    } else if (Ch != ' ') {
+      Cur.push_back(Ch);
     }
   }
 
-  driver::Compiler C;
-  quill::PassManagerOptions PMO;
-  PMO.Context.Latency = C.options().Synthesis.Latency;
-  PMO.Context.PlainModulus = C.options().Synthesis.PlainModulus;
-  if (const char *V = argValue(Argc, Argv, "--eqsat-iters", nullptr))
-    PMO.Context.EqSat.MaxIterations = std::atoi(V);
-  if (const char *V = argValue(Argc, Argv, "--eqsat-nodes", nullptr))
-    PMO.Context.EqSat.MaxNodes = std::atoi(V);
-  if (const char *V = argValue(Argc, Argv, "--eqsat-time-ms", nullptr))
-    PMO.Context.EqSat.TimeBudgetMs = std::atof(V);
-  Rng R(1);
-  for (int E = 0; E < 3; ++E) {
-    std::vector<quill::SlotVector> Example;
-    for (int I = 0; I < P.NumInputs; ++I)
-      Example.push_back(R.vectorBelow(PMO.Context.PlainModulus,
-                                      P.VectorSize));
-    PMO.Examples.push_back(std::move(Example));
-  }
-
-  quill::CostModel Cost(PMO.Context.Latency);
+  quill::CostModel Cost(C.options().Synthesis.Latency);
   std::vector<quill::PassRunStats> All;
   if (!Json) {
     std::printf("; optimizing '%s' with pipeline '%s'\n", Name.c_str(),
@@ -471,13 +451,12 @@ int cmdOpt(int Argc, char **Argv) {
     std::printf("; cost %.0f\n", Cost.cost(P));
   }
   for (const std::string &Stage : Stages) {
-    auto PM = quill::PassManager::fromPipeline(Stage, PMO);
-    if (!PM)
-      return fail(PM.status());
-    auto Stats = PM->run(P);
-    if (!Stats)
-      return fail(Stats.status());
-    for (quill::PassRunStats &S : Stats->Passes) {
+    C.options().Pipeline = Stage;
+    auto Opt = C.optimize(P);
+    if (!Opt)
+      return fail(Opt.status());
+    P = std::move(Opt->Program);
+    for (quill::PassRunStats &S : Opt->Stats.Passes) {
       if (!Json) {
         std::printf("; pass %-10s rewrites %d, instrs %+d, rotations %+d, "
                     "relins deferred %d, cost %.0f -> %.0f%s\n",
@@ -695,8 +674,18 @@ int cmdRun(int Argc, char **Argv) {
                  P->NumInputs, P->VectorSize);
     return 1;
   }
+  // Like the artifact path: check the whole batch before running any of
+  // it, then serve every call from one runtime (one set of keys).
   for (const auto &Call : *Calls) {
-    auto Out = C.execute(*P, Call);
+    Status S = driver::checkInputs(P->NumInputs, P->VectorSize, Call);
+    if (!S)
+      return fail(S);
+  }
+  auto RT = C.instantiate({&*P});
+  if (!RT)
+    return fail(RT.status());
+  for (const auto &Call : *Calls) {
+    auto Out = RT->execute(*P, Call, P->VectorSize);
     if (!Out)
       return fail(Out.status());
     printOutcome(*Out, T);
