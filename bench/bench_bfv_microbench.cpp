@@ -9,11 +9,10 @@
 /// relinearize, rotate, ...) plus the kernels underneath them (NTT, fast
 /// base conversion) on the depth-1 serving parameters, and prints one JSON
 /// object, naming the NTT path (AVX-512 IFMA or scalar) the host ran.
-/// tools/bench.sh embeds it as the snapshot's "microbench" section;
-/// tools/bench_compare.py gates the mul/relin/rotate numbers against the
-/// committed baseline. The same numbers seed quill::LatencyTable's
-/// defaults — re-run this after touching the BFV hot paths and keep the
-/// two in sync.
+/// After touching the BFV hot paths, compare its numbers with a run at the
+/// parent commit on the same host; perfbench's per-layer bfv.* and math.*
+/// metrics time the same primitives. quill::LatencyTable's defaults were
+/// rounded from an earlier run of it (quill/CostModel.h).
 ///
 /// Usage: bench_bfv_microbench [--repeats N]
 ///

@@ -19,9 +19,9 @@
 ///     delay shows up in the tail instead of being absorbed by client
 ///     back-pressure.
 ///
-/// Emits one JSON object on stdout (captured by tools/bench.sh into the
-/// "serving_load" section of BENCH_results.json; bench_compare.py gates
-/// the batching speedup and p99) and a human-readable summary on stderr.
+/// Emits one JSON object on stdout and a human-readable summary on stderr,
+/// and exits 1 unless batching reaches 3x the unbatched throughput at no
+/// worse p99.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -24,9 +24,10 @@
 /// with N portfolio threads — under the default latency table (so the
 /// workload is machine-independent), and a machine-readable JSON record
 /// (per-kernel wall times, speedups, byte-identity of the two programs,
-/// and the median speedup) is printed to stdout. tools/bench.sh folds
-/// that record into BENCH_results.json; exit status 1 flags a
+/// and the median speedup) is printed to stdout; exit status 1 flags a
 /// determinism violation (sequential and parallel programs differing).
+/// synth_parallel_test and synth_test check the same byte-identity for
+/// these seven kernels on every test run.
 ///
 //===----------------------------------------------------------------------===//
 

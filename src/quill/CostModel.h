@@ -27,9 +27,10 @@ namespace porcupine {
 namespace quill {
 
 /// Per-opcode latencies in microseconds. The defaults are rounded medians
-/// from bench_bfv_microbench on the 1-core CI runner class with the
-/// RNS-native evaluator (see the "microbench" section of the committed
-/// BENCH_results.json). A compile prices with
+/// from bench_bfv_microbench on a 1-core CI runner with the RNS-native
+/// evaluator and scalar NTT butterflies; the vector NTT has since made
+/// every opcode 2-5x cheaper, and re-deriving them is ROADMAP item 2(d),
+/// since new defaults move synthesized programs. A compile prices with
 /// CompileOptions::Synthesis.Latency, which defaults to this table;
 /// LatencyProfiler measures a replacement when a live profile is wanted.
 struct LatencyTable {

@@ -379,11 +379,19 @@ class LazyRelinPass : public Pass {
 public:
   const char *name() const override { return "lazy-relin"; }
 
-  int run(Program &P, const PassContext &) override {
-    int Muls = countInstructions(P).CtCtMuls;
-    bool WasExplicit = P.ExplicitRelin;
+  int run(Program &In, const PassContext &Ctx) override {
+    int Muls = countInstructions(In).CtCtMuls;
+    bool WasExplicit = In.ExplicitRelin;
     if (Muls == 0 && !WasExplicit)
       return 0; // Nothing to relinearize, nothing to convert.
+
+    // Decide on the input with dead code dropped and duplicates shared.
+    // Otherwise a dead consumer demands a relin that outlives it once the
+    // rebuild prunes the consumer, and two copies of a product each
+    // demand a relin where one would serve both; a second run would then
+    // find more to do.
+    Program P = In;
+    createPass("cse")->run(P, Ctx);
 
     // Phase 1 — decide the minimal relinearization set. Existing Relin
     // instructions are transparent (Core resolves through them); the
@@ -510,11 +518,11 @@ public:
     // attempt), so never replace fewer relins with more.
     if (!WasExplicit && Emitted >= Muls)
       return 0;
-    if (WasExplicit && Emitted > countInstructions(P).Relins)
+    if (WasExplicit && Emitted > countInstructions(In).Relins)
       return 0;
-    if (printProgram(Out) == printProgram(P))
+    if (printProgram(Out) == printProgram(In))
       return 0;
-    P = std::move(Out);
+    In = std::move(Out);
     return std::max(1, Muls - Emitted);
   }
 };
@@ -549,7 +557,8 @@ std::unique_ptr<Pass> quill::createPass(const std::string &Name) {
     return std::make_unique<LazyRelinPass>();
   if (Name == "rot-dedup")
     return std::make_unique<RewritePass>(
-        "rot-dedup", std::vector<Rule>{shareRotations, hoistRotations});
+        "rot-dedup",
+        std::vector<Rule>{shareAll, hoistRotations, fuseRotations});
   if (Name == "eqsat")
     return eqsat::createEqSatPass();
   return nullptr;

@@ -34,11 +34,15 @@
 ///              two-component ciphertext, sharing it between consumers,
 ///              and eliding it entirely when no rotation or multiply (or
 ///              anything besides add/sub/ct-pt ops and the output)
-///              consumes the product.
-///   rot-dedup  Share rotations, and hoist op(rot(x,a), rot(y,a)) into
-///              rot(op(x,y), a) when both rotations die with the op,
-///              shrinking both the instruction stream and the Galois key
-///              set requiredRotations() reports.
+///              consumes the product. It decides on the input with its
+///              dead code dropped and duplicates shared (a cse'd copy), and
+///              the rebuilt program it commits has that form too.
+///   rot-dedup  Share any identical instruction, hoist op(rot(x,a),
+///              rot(y,a)) into rot(op(x,y), a) when both rotations die
+///              with the op, and fuse rotations, so a hoisted op reuses an
+///              equal one and a hoisted rotation fuses with a rotating
+///              consumer. Shrinks both the instruction stream and the
+///              Galois key set requiredRotations() reports.
 ///   eqsat      Equality-saturation superoptimizer (src/quill/eqsat/): the
 ///              rewrite axioms as an e-graph saturation instead of greedy
 ///              ordered rewrites, with its own rule table, extracted by

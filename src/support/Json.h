@@ -6,7 +6,7 @@
 ///
 /// \file
 /// The one JSON implementation in the tree. Everything that emits JSON
-/// (driver::toJson, kernel artifacts, porcc bench, tools/bench.sh inputs)
+/// (driver::toJson, kernel artifacts, porcc bench, porcc opt --json)
 /// must escape strings through json::escape so quotes, backslashes, and
 /// control characters in kernel names, diagnostics, or generated code can
 /// never corrupt a record; everything that reads JSON (artifact loading)

@@ -9,9 +9,10 @@
 /// carry file:line:column and are Status-recoverable (never throws, never
 /// aborts — hostile input is a *caller* error), printModule()/parse() is a
 /// stable round-trip, lowering produces programs that match the module's
-/// own reference semantics on the spec's masked slots, the registered
-/// frontend workloads are genuinely out of reach of direct synthesis
-/// within the default budget (the point of having a frontend), and
+/// own reference semantics on the spec's masked slots, each workload's
+/// lowered cost and instruction count stay at or under their pins, the
+/// registered frontend workloads are genuinely out of reach of direct
+/// synthesis within the default budget (the point of having a frontend), and
 /// --synth-subkernels really does route small sub-expressions through
 /// CEGIS.
 ///
@@ -21,6 +22,7 @@
 #include "kernels/KernelRegistry.h"
 #include "kernels/Kernels.h"
 #include "quill/Analysis.h"
+#include "quill/CostModel.h"
 #include "quill/Interpreter.h"
 #include "support/Random.h"
 #include "synth/Synthesizer.h"
@@ -205,6 +207,28 @@ TEST(PorcLower, LoweredWorkloadsMatchTheirOwnSpecs) {
         if (Spec->outputSlotMatters(I))
           EXPECT_EQ(Got[I], Want[I]) << Name << " slot " << I;
     }
+  }
+}
+
+TEST(PorcLower, WorkloadsLowerNoDearerThanTheirPins) {
+  // Cost-model cost and instruction count of each workload's lowered
+  // program, before any pass runs, as they were when pinned. A lowering
+  // change that emits a cheaper program lowers the pin.
+  struct Pin {
+    const char *Name;
+    double Cost;
+    int Instructions;
+  };
+  const Pin Pins[] = {{"Conv2D 5x5", 96800, 73},
+                      {"Perceptron 8-4-1", 172200, 46},
+                      {"Group-By Sum", 36800, 28}};
+  quill::CostModel Cost;
+  for (const Pin &W : Pins) {
+    auto L = lower(parseOk(kernels::porcWorkloadSource(W.Name), "w.porc"));
+    ASSERT_TRUE(L.hasValue()) << L.status().toString();
+    EXPECT_LE(Cost.cost(L->Program), W.Cost) << W.Name;
+    EXPECT_LE(quill::countInstructions(L->Program).Total, W.Instructions)
+        << W.Name;
   }
 }
 

@@ -25,7 +25,9 @@
 ///
 /// Everything here is fast-labeled: the bundled kernels used (Box Blur,
 /// Linear Regression, Hamming Distance) each synthesize fully — cost
-/// optimization included — in well under a second.
+/// optimization included — in well under a second. synth_test (slow)
+/// runs the same determinism check on Polynomial Regression, Gx, Gy and
+/// Dot Product.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -35,6 +37,7 @@
 #include "support/Cancellation.h"
 #include "support/ThreadPool.h"
 #include "synth/Synthesizer.h"
+#include "SynthDeterminism.h"
 
 #include <gtest/gtest.h>
 
@@ -174,41 +177,12 @@ TEST(Cancellation, StopsSpinningPoolWorkers) {
 // Synthesis determinism across thread counts
 //===----------------------------------------------------------------------===//
 
-synth::SynthesisOptions fastOptions(int Threads) {
-  synth::SynthesisOptions Opts;
-  Opts.TimeoutSeconds = 60.0; // Generous: timeouts void the determinism
-                              // guarantee by design.
-  Opts.MaxComponents = 8;
-  Opts.Seed = 7;
-  Opts.Threads = Threads;
-  return Opts;
-}
-
-/// Synthesizes \p B sequentially and with four portfolio threads and
-/// checks the results are byte-identical, returning the two stats blocks
-/// for further assertions.
-void expectSameProgram(const KernelBundle &B, synth::SynthesisStats *Seq,
-                       synth::SynthesisStats *Par) {
-  auto R1 = synth::synthesize(B.Spec, B.Sketch, fastOptions(1));
-  auto R4 = synth::synthesize(B.Spec, B.Sketch, fastOptions(4));
-  ASSERT_TRUE(R1.Found) << B.Spec.name() << " must synthesize sequentially";
-  ASSERT_TRUE(R4.Found) << B.Spec.name() << " must synthesize in parallel";
-  EXPECT_EQ(quill::printProgram(R1.Prog), quill::printProgram(R4.Prog))
-      << B.Spec.name() << ": thread count changed the synthesized program";
-  EXPECT_EQ(R1.Stats.ComponentsUsed, R4.Stats.ComponentsUsed);
-  EXPECT_DOUBLE_EQ(R1.Stats.FinalCost, R4.Stats.FinalCost);
-  if (Seq)
-    *Seq = R1.Stats;
-  if (Par)
-    *Par = R4.Stats;
-}
-
 TEST(ParallelSynthesis, BoxBlurDeterministicAcrossThreads) {
-  expectSameProgram(boxBlurKernel(), nullptr, nullptr);
+  expectSameProgram(boxBlurKernel());
 }
 
 TEST(ParallelSynthesis, LinearRegressionDeterministicAcrossThreads) {
-  expectSameProgram(linearRegressionKernel(), nullptr, nullptr);
+  expectSameProgram(linearRegressionKernel());
 }
 
 TEST(ParallelSynthesis, HammingDistanceDeterministicAcrossThreads) {
@@ -242,8 +216,8 @@ TEST(ParallelSynthesis, HammingDistanceDeterministicAcrossThreads) {
 
 TEST(ParallelSynthesis, RepeatedParallelRunsAgree) {
   const KernelBundle B = hammingDistanceKernel();
-  auto A = synth::synthesize(B.Spec, B.Sketch, fastOptions(4));
-  auto C = synth::synthesize(B.Spec, B.Sketch, fastOptions(4));
+  auto A = synth::synthesize(B.Spec, B.Sketch, determinismOptions(4));
+  auto C = synth::synthesize(B.Spec, B.Sketch, determinismOptions(4));
   ASSERT_TRUE(A.Found);
   ASSERT_TRUE(C.Found);
   EXPECT_EQ(quill::printProgram(A.Prog), quill::printProgram(C.Prog));
@@ -255,7 +229,7 @@ TEST(ParallelSynthesis, RepeatedParallelRunsAgree) {
 
 TEST(ParallelSynthesis, AutoThreadsResolvesToHardware) {
   const KernelBundle B = linearRegressionKernel();
-  auto R = synth::synthesize(B.Spec, B.Sketch, fastOptions(0));
+  auto R = synth::synthesize(B.Spec, B.Sketch, determinismOptions(0));
   ASSERT_TRUE(R.Found);
   EXPECT_EQ(R.Stats.ThreadsUsed,
             static_cast<int>(resolveThreadCount(0)));

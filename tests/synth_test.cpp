@@ -11,6 +11,7 @@
 #include "quill/Analysis.h"
 #include "quill/Interpreter.h"
 #include "spec/Equivalence.h"
+#include "SynthDeterminism.h"
 
 #include <gtest/gtest.h>
 
@@ -321,6 +322,29 @@ TEST(Compose, MultiInputCombine) {
     uint64_t D = (X[I] + T - X[(I + 1) % 4]) % T;
     EXPECT_EQ(Out[I], (S * S + D * D) % T);
   }
+}
+
+//===----------------------------------------------------------------------===//
+// Thread-count determinism on the slower bundled kernels
+//===----------------------------------------------------------------------===//
+
+// synth_parallel_test runs the same check on the sub-second kernels with
+// the fast label; these four take seconds each.
+
+TEST(ParallelSynthesis, PolynomialRegressionDeterministicAcrossThreads) {
+  expectSameProgram(kernels::polyRegressionKernel());
+}
+
+TEST(ParallelSynthesis, GxDeterministicAcrossThreads) {
+  expectSameProgram(kernels::gxKernel());
+}
+
+TEST(ParallelSynthesis, GyDeterministicAcrossThreads) {
+  expectSameProgram(kernels::gyKernel());
+}
+
+TEST(ParallelSynthesis, DotProductDeterministicAcrossThreads) {
+  expectSameProgram(kernels::dotProductKernel());
 }
 
 } // namespace

@@ -4,16 +4,13 @@
 #   2. build everything
 #   3. run the CTest suite
 #
-# Usage: tools/check.sh [--fast] [--bench] [build-dir]  (default: build-check)
+# Usage: tools/check.sh [--fast] [build-dir]  (default: build-check)
 #
 #   --fast   run only the `fast`-labeled tests (seconds instead of minutes).
 #            This still covers the porcc CLI smoke tests (list + usage
 #            error) and the `porcc compile --json` smoke, which diffs the
 #            machine-readable record against the checked-in expected shape
 #            in tests/expected/.
-#   --bench  after the tests pass, run tools/bench.sh on the same build
-#            tree (figure benches + porcc bench serving loop), writing
-#            machine-readable BENCH_results.json at the repo root.
 #
 # Any warning from -Wall -Wextra in src/ fails the build (PORCUPINE_WERROR),
 # and any failing or timing-out test fails the script.
@@ -22,12 +19,10 @@ set -eu
 ROOT=$(CDPATH= cd -- "$(dirname -- "$0")/.." && pwd)
 
 FAST=0
-BENCH=0
 BUILD_DIR=
 for Arg in "$@"; do
   case "$Arg" in
     --fast) FAST=1 ;;
-    --bench) BENCH=1 ;;
     -*) echo "check.sh: unknown option '$Arg'" >&2; exit 2 ;;
     *)
       if [ -n "$BUILD_DIR" ]; then
@@ -51,10 +46,6 @@ if [ "$FAST" = 1 ]; then
 else
   echo "== test"
   ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$JOBS"
-fi
-
-if [ "$BENCH" = 1 ]; then
-  "$ROOT/tools/bench.sh" "$BUILD_DIR"
 fi
 
 echo "== check.sh: all green"

@@ -39,8 +39,8 @@
 ///       (or a .quill file), printing per-pass statistics — and with
 ///       --print-after-all the whole program after every pass. --json
 ///       emits one machine-readable record (cost before/after, per-pass
-///       stats); tools/bench.sh collects these into the perf snapshot,
-///       where the CI gate fails any pass that increases cost-model cost.
+///       stats). passes_test and eqsat_test pin each bundled kernel's
+///       cost and fail when any pass raises it.
 ///   porcc emit <kernel> [--baseline] [--function NAME]
 ///       Emit SEAL-style C++ for a bundled program.
 ///   porcc show <kernel> [--baseline]
@@ -808,8 +808,8 @@ int cmdBench(int Argc, char **Argv) {
               MeanUs > 0 ? 1e6 / MeanUs : 0.0);
   std::printf("  \"noise_budget_bits\": %.1f,\n", LastNoise);
   // Cost-model latency one call charges on this backend (0 for real
-  // backends, which spend wall-clock instead). Host-independent, so
-  // bench_compare.py can gate it across machine classes.
+  // backends, which spend wall-clock instead). Host-independent: the
+  // porcc_cli_compile_json golden pins the same charge.
   std::printf("  \"charged_latency_us\": %.1f,\n", Warm->ChargedLatencyUs);
   std::printf("  \"cache\": {\"hits\": %llu, \"misses\": %llu, "
               "\"hit_rate\": %.3f}\n",
