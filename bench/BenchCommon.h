@@ -16,6 +16,7 @@
 
 #include "backend/BfvExecutor.h"
 #include "backend/ExecutorBackend.h"
+#include "backend/ParameterSelector.h"
 #include "quill/Analysis.h"
 #include "support/Timing.h"
 
@@ -28,13 +29,11 @@
 namespace porcupine {
 namespace bench {
 
-/// Builds the evaluation context for a pair of kernel programs: standard
-/// 128-bit-security parameters sized for the deeper of the two.
+/// Builds the evaluation context for a pair of kernel programs: the
+/// parameters selectParameters() picks for the two together.
 inline BfvContext contextFor(const quill::Program &A,
                              const quill::Program &B) {
-  int Depth = std::max(quill::programMultiplicativeDepth(A),
-                       quill::programMultiplicativeDepth(B));
-  return BfvContext::forMultDepth(static_cast<unsigned>(Depth));
+  return BfvContext(selectParameters({&A, &B}));
 }
 
 /// Measures the mean wall-clock latency (microseconds) of running \p P on

@@ -7,9 +7,6 @@
 #include "backend/BfvBackend.h"
 
 #include "backend/BfvExecutor.h"
-#include "quill/Analysis.h"
-
-#include <algorithm>
 
 using namespace porcupine;
 using namespace porcupine::backend;
@@ -76,16 +73,11 @@ private:
 
 Expected<std::unique_ptr<Executor>>
 BfvBackend::createExecutor(const SessionSpec &Spec) const {
-  int Depth = 0;
-  for (const quill::Program *P : Spec.Programs)
-    Depth = std::max(Depth, quill::programMultiplicativeDepth(*P));
-
   std::shared_ptr<const BfvContext> Ctx;
   if (Spec.Reuse)
     Ctx = std::static_pointer_cast<const BfvContext>(Spec.Reuse);
   else
-    Ctx = std::make_shared<const BfvContext>(
-        BfvContext::forMultDepth(static_cast<unsigned>(Depth)));
+    Ctx = std::make_shared<const BfvContext>(Spec.Params);
 
   // The standard-parameter contexts fix the plaintext modulus; a program
   // compiled/verified under a different modulus would silently compute

@@ -6,11 +6,7 @@
 
 #include "backend/DryRunBackend.h"
 
-#include "bfv/BfvContext.h"
-#include "quill/Analysis.h"
 #include "quill/Interpreter.h"
-
-#include <algorithm>
 
 using namespace porcupine;
 using namespace porcupine::backend;
@@ -102,17 +98,11 @@ DryRunBackend::createExecutor(const SessionSpec &Spec) const {
   if (Spec.Reuse) {
     State = std::static_pointer_cast<const DryRunState>(Spec.Reuse);
   } else {
-    int Depth = 0;
-    for (const quill::Program *P : Spec.Programs)
-      Depth = std::max(Depth, quill::programMultiplicativeDepth(*P));
-    // Adopt the row geometry of the BFV parameters this depth would pick
-    // (a cheap table lookup; no CRT/NTT construction) so rotation
+    // Adopt the row geometry of the selected BFV parameters so rotation
     // wrap-around is byte-identical to encrypted execution.
-    BfvParams Params =
-        BfvContext::paramsForMultDepth(static_cast<unsigned>(Depth));
     auto S = std::make_shared<DryRunState>();
-    S->Row = Params.PolyDegree / 2;
-    S->PolyDegree = Params.PolyDegree;
+    S->Row = Spec.Params.PolyDegree / 2;
+    S->PolyDegree = Spec.Params.PolyDegree;
     S->T = Spec.PlainModulus;
     State = std::move(S);
   }

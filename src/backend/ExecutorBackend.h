@@ -32,6 +32,7 @@
 #ifndef PORCUPINE_BACKEND_EXECUTORBACKEND_H
 #define PORCUPINE_BACKEND_EXECUTORBACKEND_H
 
+#include "bfv/BfvContext.h"
 #include "quill/CostModel.h"
 #include "quill/Program.h"
 #include "support/Status.h"
@@ -101,9 +102,14 @@ struct BackendCapabilities {
 
 /// Everything a backend needs to instantiate one execution session.
 struct SessionSpec {
-  /// The programs this session must be able to run (keys are sized for
-  /// exactly this set's rotations and the deepest member's parameters).
+  /// The programs this session must be able to run (Galois keys cover
+  /// exactly this set's rotations).
   std::vector<const quill::Program *> Programs;
+  /// The encryption parameters to build, as selectParameters() chose them
+  /// for Programs. Backends read the ring and modulus from here and decide
+  /// nothing themselves; the dry-run backend takes its row geometry (N/2)
+  /// from PolyDegree.
+  BfvParams Params;
   /// Plaintext modulus the programs were compiled/verified under.
   uint64_t PlainModulus = 65537;
   /// Seed for execution-side randomness (keys, encryption noise).
@@ -111,9 +117,10 @@ struct SessionSpec {
   /// The latency table the programs were compiled under; the dry-run
   /// backend charges its runs with it.
   quill::LatencyTable Latency;
-  /// Opaque sharedState() of a previous session for the same (or deeper)
-  /// program set; backends reuse the immutable, thread-safe part of it
-  /// (the BFV context's CRT bases and NTT tables) instead of rebuilding.
+  /// Opaque sharedState() of a previous session of the same backend built
+  /// from the same Params; backends reuse the immutable, thread-safe part
+  /// of it (the BFV context's CRT bases and NTT tables) instead of
+  /// rebuilding, and then ignore Params.
   std::shared_ptr<const void> Reuse;
 };
 
@@ -153,8 +160,8 @@ public:
   virtual uint64_t plainModulus() const = 0;
 
   /// The immutable, shareable part of this session's state (never the
-  /// keys). Feed it to SessionSpec::Reuse to build further sessions for
-  /// the same program set cheaply — how the Engine's runtime pools scale.
+  /// keys). Feed it to SessionSpec::Reuse to build further sessions from
+  /// the same Params cheaply — how the Engine's runtime pools scale.
   virtual std::shared_ptr<const void> sharedState() const = 0;
 
   /// Cumulative cost-model latency (µs) this session has charged for its

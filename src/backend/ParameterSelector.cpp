@@ -8,21 +8,14 @@
 
 #include "quill/Analysis.h"
 
+#include <algorithm>
+
 using namespace porcupine;
 
-ParameterChoice porcupine::selectParameters(const quill::Program &P) {
-  ParameterChoice Choice;
-  Choice.MultiplicativeDepth =
-      static_cast<unsigned>(quill::programMultiplicativeDepth(P));
-  // BfvContext's ladder, read without constructing tables.
-  BfvParams Params = BfvContext::paramsForMultDepth(Choice.MultiplicativeDepth);
-  Choice.PolyDegree = Params.PolyDegree;
-  for (unsigned Bits : Params.CoeffPrimeBits)
-    Choice.CoeffModulusBits += Bits;
-  return Choice;
-}
-
-BfvContext porcupine::contextForProgram(const quill::Program &P) {
-  return BfvContext::forMultDepth(
-      static_cast<unsigned>(quill::programMultiplicativeDepth(P)));
+BfvParams porcupine::selectParameters(
+    const std::vector<const quill::Program *> &Programs) {
+  int Depth = 0;
+  for (const quill::Program *P : Programs)
+    Depth = std::max(Depth, quill::programMultiplicativeDepth(*P));
+  return BfvContext::paramsForMultDepth(static_cast<unsigned>(Depth));
 }

@@ -5,11 +5,15 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Automatic BFV parameter selection from a compiled program - the
+/// Automatic BFV parameter selection from compiled programs - the
 /// "parameter tuning" step the paper cites as prior work ([3, 11, 13, 14])
-/// and assumes around its compiler: analyze the program's multiplicative
+/// and assumes around its compiler: analyze the programs' multiplicative
 /// depth and pick the smallest standard 128-bit-security (N, Q) pair whose
 /// budget covers it.
+///
+/// This is the only place programs are mapped to parameters: the compiler
+/// reports its result, and every execution backend builds exactly the
+/// parameters handed to it in backend::SessionSpec::Params.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -19,21 +23,14 @@
 #include "bfv/BfvContext.h"
 #include "quill/Program.h"
 
+#include <vector>
+
 namespace porcupine {
 
-/// Chosen parameters with the analysis that justified them.
-struct ParameterChoice {
-  unsigned MultiplicativeDepth = 0;
-  size_t PolyDegree = 0;
-  unsigned CoeffModulusBits = 0;
-};
-
-/// Analyzes \p P and returns the parameter choice (without building the
-/// heavy context).
-ParameterChoice selectParameters(const quill::Program &P);
-
-/// Builds a ready context sized for \p P.
-BfvContext contextForProgram(const quill::Program &P);
+/// The parameters a session running every program in \p Programs needs:
+/// the ladder rung of the deepest member. A table lookup; no context is
+/// built.
+BfvParams selectParameters(const std::vector<const quill::Program *> &Programs);
 
 } // namespace porcupine
 

@@ -8,13 +8,9 @@
 
 #ifdef PORCUPINE_WITH_SEAL
 
-#include "bfv/BfvContext.h"
-#include "quill/Analysis.h"
 #include "support/Error.h"
 
 #include <seal/seal.h>
-
-#include <algorithm>
 
 using namespace porcupine;
 using namespace porcupine::backend;
@@ -191,21 +187,18 @@ SealBackend::createExecutor(const SessionSpec &Spec) const {
   if (Spec.Reuse) {
     State = std::static_pointer_cast<const SealState>(Spec.Reuse);
   } else {
-    int Depth = 0;
-    for (const Program *P : Spec.Programs)
-      Depth = std::max(Depth, programMultiplicativeDepth(*P));
-    // Mirror the in-tree parameter ladder so "bfv" and "seal" agree on the
-    // batching-row geometry for a given program set.
-    BfvParams Params =
-        BfvContext::paramsForMultDepth(static_cast<unsigned>(Depth));
+    // Build the selected ring degree so "bfv" and "seal" agree on the
+    // batching-row geometry for a given program set. SEAL keeps its own
+    // default coefficient modulus for that degree.
+    const size_t N = Spec.Params.PolyDegree;
     seal::EncryptionParameters Parms(seal::scheme_type::bfv);
-    Parms.set_poly_modulus_degree(Params.PolyDegree);
-    Parms.set_coeff_modulus(seal::CoeffModulus::BFVDefault(Params.PolyDegree));
+    Parms.set_poly_modulus_degree(N);
+    Parms.set_coeff_modulus(seal::CoeffModulus::BFVDefault(N));
     Parms.set_plain_modulus(Spec.PlainModulus);
     auto S = std::make_shared<SealState>();
     S->Parms = Parms;
     S->Ctx = std::make_unique<seal::SEALContext>(Parms);
-    S->PolyDegree = Params.PolyDegree;
+    S->PolyDegree = N;
     S->T = Spec.PlainModulus;
     if (!S->Ctx->key_context_data() ||
         !S->Ctx->key_context_data()->qualifiers().using_batching)
@@ -213,7 +206,7 @@ SealBackend::createExecutor(const SessionSpec &Spec) const {
           "execute",
           "SEAL rejected plaintext modulus " +
               std::to_string(Spec.PlainModulus) + " at N=" +
-              std::to_string(Params.PolyDegree) +
+              std::to_string(N) +
               " (batching unavailable); run with the default modulus");
     State = std::move(S);
   }

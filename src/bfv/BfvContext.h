@@ -26,6 +26,7 @@
 #include "math/Ntt.h"
 
 #include <cstdint>
+#include <numeric>
 #include <vector>
 
 namespace porcupine {
@@ -40,6 +41,10 @@ struct BfvParams {
   uint64_t PlainModulus = 65537;
   /// Bit sizes of the RNS primes whose product is the ciphertext modulus Q.
   std::vector<unsigned> CoeffPrimeBits = {45, 45, 45};
+  /// log2(Q) these primes are drawn for: the sum of CoeffPrimeBits.
+  unsigned coeffModulusBits() const {
+    return std::accumulate(CoeffPrimeBits.begin(), CoeffPrimeBits.end(), 0u);
+  }
   /// Key-switching digit width in bits (trade-off: smaller = less noise per
   /// switch, more NTTs). 48 covers every standard coefficient prime, so the
   /// RNS gadget degenerates to one digit per prime — the classic per-prime

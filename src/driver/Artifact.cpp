@@ -84,9 +84,8 @@ std::string driver::renderArtifact(const CompileResult &R,
   J += "  \"program\": " + json::quote(quill::printProgram(R.Program)) + ",\n";
   J += "  \"params\": {\"poly_degree\": " + std::to_string(R.Params.PolyDegree) +
        ", \"coeff_modulus_bits\": " +
-       std::to_string(R.Params.CoeffModulusBits) +
-       ", \"mult_depth\": " + std::to_string(R.Params.MultiplicativeDepth) +
-       "},\n";
+       std::to_string(R.Params.coeffModulusBits()) +
+       ", \"mult_depth\": " + std::to_string(R.MultDepth) + "},\n";
   J += "  \"latency\": {";
   const char *Sep = "";
   for (const LatencyField &F : LatencyFields) {
@@ -179,17 +178,6 @@ Expected<ArtifactData> driver::parseArtifact(const std::string &JsonText) {
   if (const json::Value *V = Doc.find("from_synthesis"))
     A.FromSynthesis = V->asBool();
 
-  if (const json::Value *P = Doc.find("params")) {
-    uint64_t Degree = 0, Bits = 0, Depth = 0;
-    if (P->isObject() && readUint(*P, "poly_degree", Degree) &&
-        readUint(*P, "coeff_modulus_bits", Bits) &&
-        readUint(*P, "mult_depth", Depth) && Degree > 0) {
-      A.HasParams = true;
-      A.Params.PolyDegree = static_cast<size_t>(Degree);
-      A.Params.CoeffModulusBits = static_cast<unsigned>(Bits);
-      A.Params.MultiplicativeDepth = static_cast<unsigned>(Depth);
-    }
-  }
   // Artifacts written before the table was recorded price with the
   // defaults.
   if (const json::Value *Table = Doc.find("latency")) {

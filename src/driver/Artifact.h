@@ -17,7 +17,9 @@
 /// --emit-artifact`, then `porcc run --artifact` / Engine::loadArtifact()
 /// in a server). Loading re-parses and re-validates the embedded program —
 /// a corrupted or hand-edited artifact fails with a diagnostic, never
-/// executes garbage.
+/// executes garbage. The recorded "params" are informational: like the
+/// other analyses, a loaded kernel's parameters are selected again from
+/// its program, so they always match what its runtimes build.
 ///
 /// Version history:
 ///   1 — initial format. The "latency" object (the compile's latency
@@ -56,8 +58,6 @@ struct ArtifactData {
   uint64_t ExecutionSeed = 1;
   bool FromSynthesis = false;
   quill::Program Program;
-  bool HasParams = false;
-  ParameterChoice Params;
   /// The latency table the kernel was compiled with; a loaded kernel
   /// executes (and the dry-run backend charges) under it.
   quill::LatencyTable Latency;

@@ -172,12 +172,12 @@ Expected<std::string> Compiler::emit(const quill::Program &P) const {
   return emitSealCode(P, Opts.Codegen);
 }
 
-Expected<ParameterChoice>
+Expected<BfvParams>
 Compiler::selectParameters(const quill::Program &P) const {
   Status S = validateProgram(P, "parameters");
   if (!S)
     return S;
-  return porcupine::selectParameters(P);
+  return porcupine::selectParameters({&P});
 }
 
 Expected<Runtime>
@@ -206,6 +206,7 @@ Compiler::instantiate(const std::vector<const quill::Program *> &Programs,
 
   backend::SessionSpec Spec;
   Spec.Programs = Programs;
+  Spec.Params = porcupine::selectParameters(Programs);
   Spec.PlainModulus = Opts.Synthesis.PlainModulus;
   Spec.ExecutionSeed = Opts.ExecutionSeed;
   Spec.Latency = Opts.Synthesis.Latency;
@@ -328,21 +329,17 @@ Status Compiler::finishCompile(CompileResult &Res) const {
   Res.LatencyEstimateUs = Cost.latency(Res.Program);
   Res.Cost = Cost.cost(Res.Program);
 
-  // Stage 4: parameter selection.
-  if (Opts.SelectParameters) {
-    auto Params = selectParameters(Res.Program);
-    if (!Params)
-      return Params.status();
-    Res.Params = *Params;
-  }
+  // Stage 4: parameter selection, the same call instantiate() makes.
+  auto Params = selectParameters(Res.Program);
+  if (!Params)
+    return Params.status();
+  Res.Params = *Params;
 
   // Stage 5: codegen.
-  if (Opts.EmitSealCode) {
-    auto Code = emit(Res.Program);
-    if (!Code)
-      return Code.status();
-    Res.SealCode = Code.take();
-  }
+  auto Code = emit(Res.Program);
+  if (!Code)
+    return Code.status();
+  Res.SealCode = Code.take();
   return Status::success();
 }
 
@@ -600,8 +597,8 @@ std::string porcupine::driver::toJson(const CompileResult &R) {
   J += "  \"parameters\": {\"poly_degree\": " +
        std::to_string(R.Params.PolyDegree) +
        ", \"coeff_modulus_bits\": " +
-       std::to_string(R.Params.CoeffModulusBits) +
-       ", \"mult_depth\": " + std::to_string(R.Params.MultiplicativeDepth) +
+       std::to_string(R.Params.coeffModulusBits()) +
+       ", \"mult_depth\": " + std::to_string(R.MultDepth) +
        "},\n";
   J += "  \"seal_code\": \"" + escape(R.SealCode) + "\",\n";
   J += "  \"notes\": [";

@@ -131,12 +131,8 @@ struct CompileOptions {
   /// serve a kernel compiled for one backend to a request for another.
   std::string Backend = "bfv";
 
-  /// Select BFV parameters (N, coeff modulus) for the compiled program.
-  bool SelectParameters = true;
-
-  /// Emit SEAL-style C++ for the compiled program.
-  bool EmitSealCode = true;
-  /// Codegen options (function name, comments).
+  /// Codegen options for the SEAL-style C++ every compile emits
+  /// (function name, comments).
   SealCodeGenOptions Codegen;
 
   /// Seed for execution-side randomness (keys, encryption noise).
@@ -185,9 +181,10 @@ struct CompileResult {
   double LatencyEstimateUs = 0.0;
   double Cost = 0.0;
 
-  /// Chosen BFV parameters (zeroed unless SelectParameters).
-  ParameterChoice Params;
-  /// Generated SEAL-style C++ (empty unless EmitSealCode).
+  /// The BFV parameters selectParameters() chose for Program: what every
+  /// runtime instantiated for it builds.
+  BfvParams Params;
+  /// Generated SEAL-style C++.
   std::string SealCode;
 
   /// Non-fatal notes and warnings accumulated along the pipeline.
@@ -236,11 +233,11 @@ Status checkInputs(int NumInputs, size_t MaxWidth,
 
 /// A ready-to-run execution environment for a fixed set of programs on one
 /// backend: owns the backend session (context, keys — whatever the backend
-/// needs, sized for the deepest program with Galois keys for exactly the
-/// rotations the set requires). Produced by Compiler::instantiate();
-/// movable, not copyable. Values are opaque backend::Value handles — real
-/// ciphertexts on "bfv"/"seal", slot vectors on "dryrun" — and callers
-/// cannot (and must not) tell the difference.
+/// needs, built from the parameters selectParameters() picks for the set,
+/// with Galois keys for exactly the rotations the set requires). Produced
+/// by Compiler::instantiate(); movable, not copyable. Values are opaque
+/// backend::Value handles — real ciphertexts on "bfv"/"seal", slot vectors
+/// on "dryrun" — and callers cannot (and must not) tell the difference.
 class Runtime {
 public:
   Runtime(Runtime &&) = default;
@@ -369,16 +366,17 @@ public:
   /// SEAL-style C++ for \p P under the options' codegen settings.
   Expected<std::string> emit(const quill::Program &P) const;
 
-  /// Smallest standard 128-bit-security BFV parameters covering \p P.
-  Expected<ParameterChoice> selectParameters(const quill::Program &P) const;
+  /// Smallest standard 128-bit-security BFV parameters covering \p P
+  /// (porcupine::selectParameters).
+  Expected<BfvParams> selectParameters(const quill::Program &P) const;
 
   /// Builds an execution environment for \p Programs on the options'
-  /// backend (Opts.Backend). \p Reuse, when given, must be the
-  /// sharedState() of a runtime instantiated *on the same backend* for
-  /// programs at least as deep as \p Programs (keys are still generated
-  /// fresh; only the immutable state is shared — the caller vouches for
-  /// the depth, which is trivially true when reusing within one program
-  /// set, as the Engine's runtime pools do).
+  /// backend (Opts.Backend), handing it the parameters
+  /// porcupine::selectParameters() picks for the set. \p Reuse, when
+  /// given, must be the sharedState() of a runtime instantiated *on the
+  /// same backend* from the same parameters (keys are still generated
+  /// fresh; only the immutable state is shared — trivially true when
+  /// reusing within one program set, as the Engine's runtime pools do).
   Expected<Runtime>
   instantiate(const std::vector<const quill::Program *> &Programs,
               std::shared_ptr<const void> Reuse = nullptr) const;

@@ -348,12 +348,9 @@ Expected<Engine::KernelHandle> Engine::loadArtifact(const std::string &Path) {
   R.Mix = quill::countInstructions(R.Program);
   R.Depth = quill::programDepth(R.Program);
   R.MultDepth = quill::programMultiplicativeDepth(R.Program);
+  R.Params = porcupine::selectParameters({&R.Program});
   R.LatencyEstimateUs = Art->LatencyEstimateUs;
   R.Cost = Art->Cost;
-  if (Art->HasParams)
-    R.Params = Art->Params;
-  else
-    R.Params = porcupine::selectParameters(R.Program);
   R.SealCode = Art->SealCode;
   for (const std::string &Note : Art->Notes)
     R.Notes.push_back({Severity::Note, "artifact", Note});

@@ -100,7 +100,6 @@ std::string CompileOptions::canonicalKey() const {
   // JSON-quoted: a function name containing ';' or '=' must not be able to
   // forge neighboring fields.
   addField(K, "codegen.function", json::quote(Codegen.FunctionName));
-  addField(K, "emit_seal_code", EmitSealCode);
   addField(K, "eqsat.max_iterations", EqSat.MaxIterations);
   addField(K, "eqsat.max_nodes", EqSat.MaxNodes);
   // The eqsat wall-clock budget is keyed only when armed: disabled
@@ -132,7 +131,6 @@ std::string CompileOptions::canonicalKey() const {
   // JSON-quoted like the function name: the pipeline is free-form text.
   addField(K, "pipeline", json::quote(Pipeline));
   addField(K, "run_synthesis", RunSynthesis);
-  addField(K, "select_parameters", SelectParameters);
   addField(K, "synthesis.max_components", Synthesis.MaxComponents);
   addField(K, "synthesis.min_components", Synthesis.MinComponents);
   addField(K, "synthesis.optimize", Synthesis.Optimize);

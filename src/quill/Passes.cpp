@@ -534,11 +534,14 @@ public:
 //===----------------------------------------------------------------------===//
 
 const char *quill::defaultPipeline() {
-  return "peephole,cse,constfold,lazy-relin,rot-dedup";
+  // rot-dedup runs before lazy-relin: hoisting rot(relin(m)) pairs after
+  // lazy-relin placed the relins hands a second lazy-relin run a program
+  // whose relin it would move, so that order is not a fixed point.
+  return "peephole,cse,constfold,rot-dedup,lazy-relin";
 }
 
 std::vector<std::string> quill::knownPassNames() {
-  return {"peephole", "cse", "constfold", "lazy-relin", "rot-dedup",
+  return {"peephole", "cse", "constfold", "rot-dedup", "lazy-relin",
           "eqsat"};
 }
 

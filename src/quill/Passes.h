@@ -57,10 +57,11 @@
 /// only the same first VectorSize slots.
 ///
 /// All passes are deterministic. The greedy passes run to a fixed point,
-/// so a second run returns 0 rewrites. eqsat is idempotent only where its
-/// budgets let saturation reach a fixpoint: the defaults saturate 7 of the
-/// 13 bundled kernels, and the three `.porc` workloads stop on the node
-/// cap, so a rerun there may find more.
+/// so a second run returns 0 rewrites; so does the default pipeline, which
+/// runs rot-dedup before lazy-relin for that reason. eqsat is idempotent
+/// only where its budgets let saturation reach a fixpoint: the defaults
+/// saturate 7 of the 13 bundled kernels, and the three `.porc` workloads
+/// stop on the node cap, so a rerun there may find more.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -218,7 +219,7 @@ public:
   PassManager &operator=(PassManager &&) = default;
 
   /// Builds a manager from a comma-separated pipeline string, e.g.
-  /// "peephole,cse,constfold,lazy-relin,rot-dedup" (defaultPipeline()).
+  /// "peephole,cse,constfold,rot-dedup,lazy-relin" (defaultPipeline()).
   /// An empty string is a valid empty pipeline; unknown or empty segment
   /// names are errors.
   static Expected<PassManager> fromPipeline(const std::string &Pipeline,

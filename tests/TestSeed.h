@@ -11,6 +11,8 @@
 ///
 ///   PORCUPINE_TEST_SEED=<base> ctest -R <suite> --output-on-failure
 ///
+/// mutateBytes() is the seeded byte mutator of the parser fuzz tests.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef PORCUPINE_TESTS_TESTSEED_H
@@ -22,6 +24,7 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <string>
 
 namespace porcupine {
 
@@ -45,6 +48,35 @@ public:
 private:
   uint64_t Seed;
 };
+
+/// One seeded mutation of \p Text for the parser fuzz tests: truncate it,
+/// substitute or insert one byte drawn from \p Alphabet, or splice a slice
+/// of \p Donor over a slice of it.
+inline std::string mutateBytes(Rng &R, std::string Text,
+                               const std::string &Donor,
+                               const std::string &Alphabet) {
+  switch (R.below(4)) {
+  case 0: // truncate
+    Text.resize(R.below(Text.size() + 1));
+    break;
+  case 1: // substitute one byte
+    if (!Text.empty())
+      Text[R.below(Text.size())] = Alphabet[R.below(Alphabet.size())];
+    break;
+  case 2: // insert one byte
+    Text.insert(R.below(Text.size() + 1), 1,
+                Alphabet[R.below(Alphabet.size())]);
+    break;
+  default: { // splice
+    size_t From = R.below(Donor.size() + 1);
+    size_t Len = R.below(Donor.size() - From + 1);
+    size_t At = R.below(Text.size() + 1);
+    Text.replace(At, R.below(Text.size() - At + 1), Donor, From, Len);
+    break;
+  }
+  }
+  return Text;
+}
 
 } // namespace porcupine
 

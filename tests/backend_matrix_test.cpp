@@ -7,10 +7,11 @@
 /// \file
 /// The ExecutorBackend contract, tested differentially: every bundled
 /// kernel must decrypt to byte-equal outputs on every available backend
-/// pair, the keyless dry-run backend must serve Engine and Server traffic
-/// without constructing a single KeyGenerator, and the backend name must
-/// be part of the compile fingerprint (so the Engine cache never mixes
-/// backends). The deprecated bool-flag execute() shim completed its
+/// pair, every backend must build the ring the compiler selected and
+/// reported, the keyless dry-run backend must serve Engine and Server
+/// traffic without constructing a single KeyGenerator, and the backend
+/// name must be part of the compile fingerprint (so the Engine cache never
+/// mixes backends). The deprecated bool-flag execute() shim completed its
 /// one-release deprecation window and was removed; select a backend via
 /// CompileOptions::Backend instead.
 ///
@@ -115,6 +116,48 @@ TEST(BackendMatrix, EveryBundledKernelIsByteEqualAcrossBackends) {
       EXPECT_EQ(Out->Outputs, Reference)
           << Kernel << ": backend " << B << " disagrees with " << RefBackend;
     }
+  }
+}
+
+TEST(BackendMatrix, EveryRuntimeBuildsTheSelectedParameters) {
+  // One parameter decision: the ring a backend's runtime builds is the one
+  // Compiler::selectParameters and CompileResult::Params report, for every
+  // bundled kernel and for an add followed by 0..6 chained squarings
+  // (every rung of the ladder and past its top).
+  std::vector<quill::Program> Chains;
+  for (int Depth = 0; Depth <= 6; ++Depth) {
+    quill::Program Chain;
+    Chain.NumInputs = 1;
+    Chain.VectorSize = 4;
+    Chain.append(quill::Instr::ctCt(quill::Opcode::AddCtCt, 0, 0));
+    for (int I = 0; I < Depth; ++I)
+      Chain.append(quill::Instr::ctCt(quill::Opcode::MulCtCt,
+                                      Chain.outputId(), Chain.outputId()));
+    Chains.push_back(std::move(Chain));
+  }
+
+  for (const std::string &B : availableBackends()) {
+    Compiler C(backendOptions(B));
+    auto Check = [&](const quill::Program &P, size_t Reported,
+                     const std::string &What) {
+      auto Selected = C.selectParameters(P);
+      ASSERT_TRUE(Selected.hasValue()) << Selected.status().toString();
+      EXPECT_EQ(Selected->PolyDegree, Reported) << What;
+      auto RT = C.instantiate({&P});
+      ASSERT_TRUE(RT.hasValue()) << What << ": " << RT.status().toString();
+      EXPECT_EQ(RT->polyDegree(), Selected->PolyDegree) << What << " on " << B;
+      EXPECT_EQ(RT->slotCount(), Selected->PolyDegree / 2)
+          << What << " on " << B;
+    };
+    for (const std::string &Kernel : C.registry().names()) {
+      auto R = C.compile(Kernel);
+      ASSERT_TRUE(R.hasValue()) << Kernel << ": " << R.status().toString();
+      Check(R->Program, R->Params.PolyDegree, Kernel);
+    }
+    // The ladder: N=4096 up to depth 1, N=8192 beyond.
+    for (size_t Depth = 0; Depth < Chains.size(); ++Depth)
+      Check(Chains[Depth], Depth <= 1 ? 4096 : 8192,
+            "depth-" + std::to_string(Depth) + " chain");
   }
 }
 

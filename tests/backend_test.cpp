@@ -265,50 +265,55 @@ TEST(Profiler, LatencyOrderingMatchesHeExpectations) {
 
 namespace {
 
-TEST(ParameterSelection, DepthLadder) {
-  for (const auto &B : kernels::allKernels()) {
-    auto Choice = selectParameters(B.Synthesized);
-    EXPECT_EQ(Choice.MultiplicativeDepth,
-              static_cast<unsigned>(
-                  programMultiplicativeDepth(B.Synthesized)));
-    EXPECT_LE(Choice.CoeffModulusBits,
-              BfvContext::maxSecureCoeffBits(Choice.PolyDegree));
-  }
-  // Gradient kernels are multiply-free: smallest tier.
-  EXPECT_EQ(selectParameters(kernels::gxKernel().Synthesized).PolyDegree,
-            4096u);
-  // Harris needs the deep tier.
-  EXPECT_EQ(selectParameters(kernels::harrisApp().Synthesized).PolyDegree,
-            8192u);
+/// An add, then \p Depth chained squarings: a program on each rung of the
+/// parameter ladder and past its top.
+Program squaringChain(unsigned Depth) {
+  Program Chain;
+  Chain.NumInputs = 1;
+  Chain.VectorSize = 4;
+  Chain.append(Instr::ctCt(Opcode::AddCtCt, 0, 0));
+  for (unsigned I = 0; I < Depth; ++I)
+    Chain.append(
+        Instr::ctCt(Opcode::MulCtCt, Chain.outputId(), Chain.outputId()));
+  return Chain;
 }
 
-TEST(ParameterSelection, ContextMatchesChoice) {
-  auto P = kernels::polyRegressionKernel().Synthesized;
-  BfvContext Ctx = contextForProgram(P);
-  auto Choice = selectParameters(P);
-  EXPECT_EQ(Ctx.polyDegree(), Choice.PolyDegree);
-  EXPECT_LE(Ctx.coeffModulusBits(),
-            BfvContext::maxSecureCoeffBits(Ctx.polyDegree()));
+TEST(ParameterSelection, DepthLadder) {
+  for (const auto &B : kernels::allKernels()) {
+    BfvParams Params = selectParameters({&B.Synthesized});
+    EXPECT_LE(Params.coeffModulusBits(),
+              BfvContext::maxSecureCoeffBits(Params.PolyDegree))
+        << B.Spec.name();
+  }
+  const Program Gx = kernels::gxKernel().Synthesized;
+  const Program Harris = kernels::harrisApp().Synthesized;
+  // Gradient kernels are multiply-free: smallest tier.
+  EXPECT_EQ(selectParameters({&Gx}).PolyDegree, 4096u);
+  // Harris needs the deep tier.
+  EXPECT_EQ(selectParameters({&Harris}).PolyDegree, 8192u);
+  // A program set takes its deepest member's rung.
+  EXPECT_EQ(selectParameters({&Gx, &Harris}).CoeffPrimeBits,
+            selectParameters({&Harris}).CoeffPrimeBits);
+}
 
-  // Every rung of the ladder and past its top: an add, then Depth chained
-  // squarings. The choice reports the context that is actually built.
-  for (unsigned Depth = 0; Depth <= 6; ++Depth) {
-    Program Chain;
-    Chain.NumInputs = 1;
-    Chain.VectorSize = 4;
-    Chain.append(Instr::ctCt(Opcode::AddCtCt, 0, 0));
-    for (unsigned I = 0; I < Depth; ++I)
-      Chain.append(Instr::ctCt(Opcode::MulCtCt, Chain.outputId(),
-                               Chain.outputId()));
-    BfvContext DepthCtx = contextForProgram(Chain);
-    auto DepthChoice = selectParameters(Chain);
-    EXPECT_EQ(DepthChoice.MultiplicativeDepth, Depth);
-    EXPECT_EQ(DepthCtx.polyDegree(), DepthChoice.PolyDegree) << Depth;
-    EXPECT_EQ(DepthCtx.coeffModulusBits(), DepthChoice.CoeffModulusBits)
-        << Depth;
-    EXPECT_LE(DepthChoice.CoeffModulusBits,
-              BfvContext::maxSecureCoeffBits(DepthChoice.PolyDegree))
-        << Depth;
+TEST(ParameterSelection, BuiltContextHasTheSelectedModulus) {
+  // What the compiler reports (Params.coeffModulusBits(), the sum of the
+  // prime sizes) is the modulus a context built from the selection has,
+  // for every bundled kernel and on every rung of the ladder.
+  std::vector<Program> Programs;
+  for (const auto &B : kernels::allKernels())
+    Programs.push_back(B.Synthesized);
+  for (unsigned Depth = 0; Depth <= 6; ++Depth)
+    Programs.push_back(squaringChain(Depth));
+  for (const Program &P : Programs) {
+    BfvParams Params = selectParameters({&P});
+    BfvContext Ctx(Params);
+    const std::string Text = printProgram(P);
+    EXPECT_EQ(Ctx.polyDegree(), Params.PolyDegree) << Text;
+    EXPECT_EQ(Ctx.coeffModulusBits(), Params.coeffModulusBits()) << Text;
+    EXPECT_LE(Params.coeffModulusBits(),
+              BfvContext::maxSecureCoeffBits(Params.PolyDegree))
+        << Text;
   }
 }
 

@@ -174,25 +174,26 @@ TEST(CompileOptions, PlumbThroughThePipeline) {
   ASSERT_TRUE(Result.hasValue()) << Result.status().toString();
   // Codegen options reached the emitter.
   EXPECT_NE(Result->SealCode.find("my_function_name"), std::string::npos);
-  // Parameter selection ran and matches the program's depth.
-  EXPECT_EQ(Result->Params.MultiplicativeDepth,
-            static_cast<unsigned>(Result->MultDepth));
-  EXPECT_GT(Result->Params.PolyDegree, 0u);
+  // Parameter selection ran on the compiled program.
+  auto Params = C.selectParameters(Result->Program);
+  ASSERT_TRUE(Params.hasValue()) << Params.status().toString();
+  EXPECT_EQ(Result->Params.PolyDegree, Params->PolyDegree);
+  EXPECT_EQ(Result->Params.CoeffPrimeBits, Params->CoeffPrimeBits);
   // The bundled path is reported as such, with a note.
   EXPECT_FALSE(Result->FromSynthesis);
   EXPECT_FALSE(Result->Notes.empty());
 }
 
-TEST(CompileOptions, StagesCanBeDisabled) {
+TEST(CompileOptions, SkippedSynthesisStillRunsEveryOtherStage) {
   CompileOptions Opts;
   Opts.RunSynthesis = false;
-  Opts.EmitSealCode = false;
-  Opts.SelectParameters = false;
   Compiler C(Opts);
   auto Result = C.compile("gx");
   ASSERT_TRUE(Result.hasValue()) << Result.status().toString();
-  EXPECT_TRUE(Result->SealCode.empty());
-  EXPECT_EQ(Result->Params.PolyDegree, 0u);
+  EXPECT_FALSE(Result->FromSynthesis);
+  // Parameter selection and codegen always run.
+  EXPECT_EQ(Result->Params.PolyDegree, 4096u);
+  EXPECT_FALSE(Result->SealCode.empty());
   // Analyses still run.
   EXPECT_GT(Result->Mix.Total, 0);
   EXPECT_GT(Result->Cost, 0.0);
@@ -215,7 +216,7 @@ TEST(CompileOptions, OptimizerPipelineRewritesRedundantPrograms) {
   // One stats record per pass in the default pipeline, in order.
   ASSERT_EQ(Opt->Stats.Passes.size(), 5u);
   EXPECT_EQ(Opt->Stats.Passes.front().Pass, "peephole");
-  EXPECT_EQ(Opt->Stats.Passes.back().Pass, "rot-dedup");
+  EXPECT_EQ(Opt->Stats.Passes.back().Pass, "lazy-relin");
   // The pipeline never raises cost.
   EXPECT_LE(Opt->Stats.costAfter(), Opt->Stats.costBefore());
 }
@@ -305,8 +306,9 @@ TEST(CompilerStages, SelectParametersAlone) {
   Compiler C;
   auto Params = C.selectParameters(addProgram());
   ASSERT_TRUE(Params.hasValue()) << Params.status().toString();
-  EXPECT_EQ(Params->MultiplicativeDepth, 0u);
-  EXPECT_GT(Params->PolyDegree, 0u);
+  // A multiply-free program takes the bottom rung of the ladder.
+  EXPECT_EQ(Params->PolyDegree, 4096u);
+  EXPECT_EQ(Params->coeffModulusBits(), 109u);
 }
 
 TEST(CompilerStages, ExecuteOnBothBundledBackends) {

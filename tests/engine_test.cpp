@@ -25,6 +25,8 @@
 #include "support/Json.h"
 #include "support/Random.h"
 
+#include "TestSeed.h"
+
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -599,6 +601,75 @@ TEST(Artifact, CorruptedArtifactsAreRejectedWithDiagnostics) {
   // Missing file.
   Engine E;
   EXPECT_FALSE(E.loadArtifact("/nonexistent/path.json").hasValue());
+}
+
+TEST(Artifact, RecordedParamsAreNotTrustedOnLoad) {
+  // The "params" an artifact records are informational: a hand-edited
+  // poly_degree loads with, and runs at, what the program selects.
+  CompileOptions Opts = bundledOptions();
+  Compiler C(Opts);
+  auto R = C.compile("gx");
+  ASSERT_TRUE(R.hasValue()) << R.status().toString();
+  std::string Doc = renderArtifact(*R, Opts);
+  const std::string Recorded =
+      "\"poly_degree\": " + std::to_string(R->Params.PolyDegree);
+  size_t At = Doc.find(Recorded);
+  ASSERT_NE(At, std::string::npos) << Doc;
+  Doc.replace(At, Recorded.size(), "\"poly_degree\": 1024");
+
+  const std::string Path = "engine_test_params_artifact.tmp.json";
+  {
+    std::FILE *F = std::fopen(Path.c_str(), "wb");
+    ASSERT_NE(F, nullptr);
+    std::fwrite(Doc.data(), 1, Doc.size(), F);
+    std::fclose(F);
+  }
+  Engine E(EngineOptions{1, 1, Opts});
+  auto L = E.loadArtifact(Path);
+  std::remove(Path.c_str());
+  ASSERT_TRUE(L.hasValue()) << L.status().toString();
+  EXPECT_EQ((*L)->result().Params.PolyDegree, R->Params.PolyDegree);
+  const quill::Program &P = (*L)->program();
+  auto Out = (*L)->execute(std::vector<std::vector<uint64_t>>(
+      P.NumInputs, std::vector<uint64_t>(P.VectorSize, 2)));
+  ASSERT_TRUE(Out.hasValue()) << Out.status().toString();
+  EXPECT_EQ(Out->PolyDegree, (*L)->result().Params.PolyDegree);
+}
+
+TEST(Artifact, FuzzedArtifactJsonLoadsOrFailsCleanly) {
+  // Seeded mutation fuzz of rendered artifacts through parseArtifact, and
+  // with it support/Json and the embedded program parser: truncations,
+  // byte substitutions and insertions, and splices of two artifacts. Each
+  // mutant is rejected with a Status or carries a program that passes
+  // validate().
+  const uint64_t Seed = testSeed(7400);
+  SeedReporter Report(Seed);
+  Rng R(Seed);
+  Compiler C(bundledOptions());
+  std::vector<std::string> Docs;
+  for (const char *Name :
+       {"dot product", "box blur", "polynomial regression"}) {
+    auto Res = C.compile(Name);
+    ASSERT_TRUE(Res.hasValue()) << Res.status().toString();
+    Docs.push_back(renderArtifact(*Res, C.options()));
+  }
+  const std::string Alphabet = " \n\t{}[]:,\"\\-+.eE0123456789acdflnprstu=";
+  int Loaded = 0;
+  for (int Round = 0; Round < 2000; ++Round) {
+    std::string Mut = Docs[R.below(Docs.size())];
+    for (uint64_t Edits = 1 + R.below(3); Edits > 0; --Edits)
+      Mut = mutateBytes(R, std::move(Mut), Docs[R.below(Docs.size())],
+                        Alphabet);
+    auto A = parseArtifact(Mut);
+    if (A) {
+      ++Loaded;
+      EXPECT_EQ(A->Program.validate(), "") << Mut;
+    } else {
+      EXPECT_FALSE(A.status().toString().empty()) << Mut;
+    }
+  }
+  // Some mutants load, so the loaded-program check is exercised too.
+  EXPECT_GT(Loaded, 0);
 }
 
 //===----------------------------------------------------------------------===//

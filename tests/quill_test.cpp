@@ -5,10 +5,14 @@
 //===----------------------------------------------------------------------===//
 
 #include "backend/ExecutorBackend.h"
+#include "backend/ParameterSelector.h"
+#include "kernels/Kernels.h"
 #include "quill/Analysis.h"
 #include "quill/CostModel.h"
 #include "quill/Interpreter.h"
 #include "quill/Program.h"
+
+#include "TestSeed.h"
 
 #include <gtest/gtest.h>
 
@@ -101,6 +105,7 @@ TEST(Interpreter, FullVectorConstantReadsZeroPastItsValues) {
   Half.append(Instr::ctPt(Opcode::MulCtPt, Right, HalfVec));
   backend::SessionSpec Spec;
   Spec.Programs = {&Half};
+  Spec.Params = selectParameters(Spec.Programs);
   Spec.PlainModulus = T;
   const backend::ExecutorBackend *Dry =
       backend::BackendRegistry::builtin().find("dryrun");
@@ -254,6 +259,38 @@ TEST(ProgramText, ParseRejectsMalformedPrograms) {
                    Error));
   EXPECT_FALSE(
       parseProgram("quill inputs=1 width=4\nc5 = rot-ct c0 1\n", P, Error));
+}
+
+TEST(ProgramText, FuzzedProgramTextParsesOrFailsCleanly) {
+  // Seeded mutation fuzz over every printed bundled program: truncations,
+  // byte substitutions and insertions, and splices of two programs' text.
+  // Each mutant either fails with a message or parses to a program that
+  // passes validate() — the contract the artifact loader and `porcc run`
+  // rely on.
+  const uint64_t Seed = testSeed(7300);
+  SeedReporter Report(Seed);
+  Rng R(Seed);
+  const std::string Alphabet = " \n\t;=-[],cp0123456789abdeilmnoqrstuwx";
+  std::vector<std::string> Texts;
+  for (const kernels::KernelBundle &B : kernels::allKernels())
+    Texts.push_back(printProgram(B.Synthesized));
+  int Parsed = 0;
+  for (int Round = 0; Round < 3000; ++Round) {
+    std::string Mut = Texts[R.below(Texts.size())];
+    for (uint64_t Edits = 1 + R.below(3); Edits > 0; --Edits)
+      Mut = mutateBytes(R, std::move(Mut), Texts[R.below(Texts.size())],
+                        Alphabet);
+    Program P;
+    std::string Error;
+    if (parseProgram(Mut, P, Error)) {
+      ++Parsed;
+      EXPECT_EQ(P.validate(), "") << Mut;
+    } else {
+      EXPECT_FALSE(Error.empty()) << Mut;
+    }
+  }
+  // Some mutants get past the parser, so validate() is exercised too.
+  EXPECT_GT(Parsed, 0);
 }
 
 TEST(ProgramValidate, CatchesNoOpRotationAndBadConstant) {

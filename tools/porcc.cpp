@@ -128,7 +128,7 @@ int usage() {
       "(--jobs N: synthesis portfolio threads; 0 = one per hardware "
       "thread, 1 = sequential. Same program either way, just faster.\n"
       " --pipeline STR: optimizer pass list, default "
-      "'peephole,cse,constfold,lazy-relin,rot-dedup'; '' disables;\n"
+      "'peephole,cse,constfold,rot-dedup,lazy-relin'; '' disables;\n"
       "   append ',eqsat' for the equality-saturation superoptimizer.\n"
       " --eqsat-iters/--eqsat-nodes/--eqsat-time-ms: eqsat saturation "
       "budgets\n"
@@ -201,7 +201,7 @@ driver::CompileOptions optionsFromFlags(int Argc, char **Argv) {
   Opts.Synthesis.Threads = std::atoi(argValue(Argc, Argv, "--jobs", "0"));
   Opts.ExplicitRotations = hasFlag(Argc, Argv, "--explicit-rot");
   // --pipeline STR: the optimizer pass pipeline (default: the full
-  // peephole,cse,constfold,lazy-relin,rot-dedup stack; "" disables).
+  // peephole,cse,constfold,rot-dedup,lazy-relin stack; "" disables).
   if (const char *Pipe = argValue(Argc, Argv, "--pipeline", nullptr))
     Opts.Pipeline = Pipe;
   // eqsat saturation budgets (only consulted when the pipeline contains
@@ -343,9 +343,9 @@ int cmdCompile(int Argc, char **Argv) {
                 Result->Stats.ProvenOptimal ? ", proven optimal in sketch"
                                             : "",
                 Result->Stats.TimedOut ? ", timed out" : "");
-  std::printf("parameters: N=%zu, %u-bit coeff modulus, mult-depth %u\n\n",
-              Result->Params.PolyDegree, Result->Params.CoeffModulusBits,
-              Result->Params.MultiplicativeDepth);
+  std::printf("parameters: N=%zu, %u-bit coeff modulus, mult-depth %d\n\n",
+              Result->Params.PolyDegree, Result->Params.coeffModulusBits(),
+              Result->MultDepth);
   std::printf("%s", Result->SealCode.c_str());
   return 0;
 }
