@@ -30,10 +30,12 @@ namespace porcupine {
 namespace bench {
 
 /// Builds the evaluation context for a pair of kernel programs: the
-/// parameters selectParameters() picks for the two together.
+/// parameters selectParameters() picks for the two together on "bfv".
 inline BfvContext contextFor(const quill::Program &A,
                              const quill::Program &B) {
-  return BfvContext(selectParameters({&A, &B}));
+  const backend::ExecutorBackend &Bfv =
+      *backend::BackendRegistry::builtin().find("bfv");
+  return BfvContext(selectParameters({&A, &B}, Bfv).Params);
 }
 
 /// Measures the mean wall-clock latency (microseconds) of running \p P on

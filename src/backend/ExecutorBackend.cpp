@@ -11,6 +11,7 @@
 #include "backend/SealBackend.h"
 
 #include <algorithm>
+#include <cmath>
 
 using namespace porcupine;
 using namespace porcupine::quill;
@@ -36,6 +37,17 @@ std::vector<int> porcupine::requiredRotations(
   AllSteps.erase(std::unique(AllSteps.begin(), AllSteps.end()),
                  AllSteps.end());
   return AllSteps;
+}
+
+quill::NoiseParams
+backend::ExecutorBackend::noiseParams(const BfvParams &Params) const {
+  quill::NoiseParams Noise;
+  Noise.PolyDegree = Params.PolyDegree;
+  Noise.PlainModulus = Params.PlainModulus;
+  for (uint64_t Q : BfvContext::coeffPrimes(Params))
+    Noise.PrimeBits.push_back(std::log2(static_cast<double>(Q)));
+  Noise.DigitBits = Params.DecompWidth;
+  return Noise;
 }
 
 //===----------------------------------------------------------------------===//

@@ -16,7 +16,8 @@
 /// Two-level shape:
 ///
 ///   - `ExecutorBackend` is the registered factory/descriptor: a name (the
-///     `CompileOptions::Backend` key), capability bits, and
+///     `CompileOptions::Backend` key), capability bits, how it builds a
+///     parameter set (what the noise bound prices), and
 ///     `createExecutor()`.
 ///   - `Executor` is one instantiated session for a fixed program set:
 ///     encrypt/run/decrypt/noiseBudget/trace over opaque `Value` handles.
@@ -34,6 +35,7 @@
 
 #include "bfv/BfvContext.h"
 #include "quill/CostModel.h"
+#include "quill/Noise.h"
 #include "quill/Program.h"
 #include "support/Status.h"
 
@@ -189,6 +191,11 @@ public:
   /// (perfbench prices its baseline costs with it). Compiles price with
   /// `CompileOptions::Synthesis.Latency`, which defaults to this table.
   quill::LatencyTable latencyTable() const { return quill::LatencyTable{}; }
+
+  /// How this backend builds \p Params, in the numbers the static noise
+  /// bound prices (quill/Noise.h). The default is BfvContext(Params), which
+  /// "bfv" builds and "dryrun" mirrors.
+  virtual quill::NoiseParams noiseParams(const BfvParams &Params) const;
 
   /// Whether the backend can actually run in this process (a backend may
   /// be compiled in but lack a runtime dependency).

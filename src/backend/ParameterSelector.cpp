@@ -6,16 +6,46 @@
 
 #include "backend/ParameterSelector.h"
 
-#include "quill/Analysis.h"
+#include "quill/Noise.h"
 
 #include <algorithm>
+#include <limits>
+#include <map>
+#include <mutex>
+#include <string>
 
 using namespace porcupine;
 
-BfvParams porcupine::selectParameters(
-    const std::vector<const quill::Program *> &Programs) {
-  int Depth = 0;
-  for (const quill::Program *P : Programs)
-    Depth = std::max(Depth, quill::programMultiplicativeDepth(*P));
-  return BfvContext::paramsForMultDepth(static_cast<unsigned>(Depth));
+/// The table's rungs as \p Backend builds them. Pricing a rung generates
+/// its primes, which costs more than bounding a program, so each backend's
+/// rungs are priced once per process.
+static const std::vector<quill::NoiseParams> &
+pricedRungs(const backend::ExecutorBackend &Backend) {
+  static std::mutex M;
+  static std::map<std::string, std::vector<quill::NoiseParams>> Cache;
+  std::lock_guard<std::mutex> L(M);
+  std::vector<quill::NoiseParams> &Rungs = Cache[Backend.name()];
+  if (Rungs.empty())
+    for (const BfvParams &Rung : BfvContext::standardParams())
+      Rungs.push_back(Backend.noiseParams(Rung));
+  return Rungs;
+}
+
+ParameterSelection porcupine::selectParameters(
+    const std::vector<const quill::Program *> &Programs,
+    const backend::ExecutorBackend &Backend) {
+  const std::vector<BfvParams> &Table = BfvContext::standardParams();
+  const std::vector<quill::NoiseParams> &Priced = pricedRungs(Backend);
+  ParameterSelection Sel;
+  for (size_t I = 0; I < Table.size(); ++I) {
+    double Budget = std::numeric_limits<double>::infinity();
+    for (const quill::Program *P : Programs)
+      Budget = std::min(Budget, quill::predictNoiseBudget(*P, Priced[I]));
+    Sel.Params = Table[I];
+    Sel.PredictedBudgetBits = Budget;
+    Sel.Certified = Budget >= NoiseGuardBits + NoiseMarginBits;
+    if (Sel.Certified)
+      break;
+  }
+  return Sel;
 }

@@ -7,9 +7,11 @@
 /// \file
 /// Automatic BFV parameter selection from compiled programs - the
 /// "parameter tuning" step the paper cites as prior work ([3, 11, 13, 14])
-/// and assumes around its compiler: analyze the programs' multiplicative
-/// depth and pick the smallest standard 128-bit-security (N, Q) pair whose
-/// budget covers it.
+/// and assumes around its compiler. It walks BfvContext::standardParams(),
+/// cheapest rung first, and prices each rung with the static noise bound
+/// of quill/Noise.h as the chosen backend builds it; the first rung on
+/// which every program keeps NoiseGuardBits + NoiseMarginBits of predicted
+/// budget wins.
 ///
 /// This is the only place programs are mapped to parameters: the compiler
 /// reports its result, and every execution backend builds exactly the
@@ -20,6 +22,7 @@
 #ifndef PORCUPINE_BACKEND_PARAMETERSELECTOR_H
 #define PORCUPINE_BACKEND_PARAMETERSELECTOR_H
 
+#include "backend/ExecutorBackend.h"
 #include "bfv/BfvContext.h"
 #include "quill/Program.h"
 
@@ -27,10 +30,32 @@
 
 namespace porcupine {
 
-/// The parameters a session running every program in \p Programs needs:
-/// the ladder rung of the deepest member. A table lookup; no context is
-/// built.
-BfvParams selectParameters(const std::vector<const quill::Program *> &Programs);
+/// The runtime noise guard: driver::Runtime::execute refuses a result
+/// whose measured budget is below this many bits.
+constexpr double NoiseGuardBits = 1.0;
+
+/// How far above the guard a rung's predicted budget must stay for
+/// selectParameters() to certify it.
+constexpr double NoiseMarginBits = 2.0;
+
+/// What selectParameters() decides for a program set.
+struct ParameterSelection {
+  /// The parameters to build.
+  BfvParams Params;
+  /// The smallest predicted final noise budget over the programs at
+  /// Params, in bits.
+  double PredictedBudgetBits = 0.0;
+  /// False when no rung certifies every program: Params is then the top
+  /// rung, and the runtime guard decides whether a result is usable.
+  bool Certified = false;
+};
+
+/// The parameters a session running every program in \p Programs on
+/// \p Backend needs: the cheapest standardParams() rung the noise bound
+/// certifies, else the top rung. No context is built.
+ParameterSelection
+selectParameters(const std::vector<const quill::Program *> &Programs,
+                 const backend::ExecutorBackend &Backend);
 
 } // namespace porcupine
 

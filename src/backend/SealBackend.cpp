@@ -12,6 +12,8 @@
 
 #include <seal/seal.h>
 
+#include <cmath>
+
 using namespace porcupine;
 using namespace porcupine::backend;
 using namespace porcupine::quill;
@@ -180,6 +182,21 @@ private:
 };
 
 } // namespace
+
+quill::NoiseParams SealBackend::noiseParams(const BfvParams &Params) const {
+  // What createExecutor builds: SEAL's default modulus for the ring degree.
+  // Its last prime is the special prime key switching goes through, and
+  // its gadget digits are whole residues of the other primes.
+  quill::NoiseParams Noise;
+  Noise.PolyDegree = Params.PolyDegree;
+  Noise.PlainModulus = Params.PlainModulus;
+  for (const seal::Modulus &Q :
+       seal::CoeffModulus::BFVDefault(Params.PolyDegree))
+    Noise.PrimeBits.push_back(std::log2(static_cast<double>(Q.value())));
+  Noise.DigitBits = 64;
+  Noise.SpecialPrime = true;
+  return Noise;
+}
 
 Expected<std::unique_ptr<Executor>>
 SealBackend::createExecutor(const SessionSpec &Spec) const {

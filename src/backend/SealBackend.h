@@ -34,6 +34,7 @@ public:
   BackendCapabilities capabilities() const override {
     return BackendCapabilities{};
   }
+  quill::NoiseParams noiseParams(const BfvParams &Params) const override;
   Expected<std::unique_ptr<Executor>>
   createExecutor(const SessionSpec &Spec) const override;
 };

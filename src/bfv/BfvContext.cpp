@@ -11,10 +11,11 @@
 #include "support/Error.h"
 
 #include <cassert>
+#include <utility>
 
 using namespace porcupine;
 
-CrtBasis BfvContext::makeCoeffBasis(const BfvParams &Params) {
+std::vector<uint64_t> BfvContext::coeffPrimes(const BfvParams &Params) {
   std::vector<uint64_t> Primes;
   for (unsigned Bits : Params.CoeffPrimeBits) {
     uint64_t P = generateNttPrime(Bits, 2 * Params.PolyDegree, Primes);
@@ -23,7 +24,11 @@ CrtBasis BfvContext::makeCoeffBasis(const BfvParams &Params) {
     assert(P != Params.PlainModulus && "coefficient prime collides with t");
     Primes.push_back(P);
   }
-  return CrtBasis(Primes);
+  return Primes;
+}
+
+CrtBasis BfvContext::makeCoeffBasis(const BfvParams &Params) {
+  return CrtBasis(coeffPrimes(Params));
 }
 
 CrtBasis BfvContext::makeAuxBasis(size_t N, const CrtBasis &Coeff) {
@@ -146,23 +151,31 @@ unsigned BfvContext::maxSecureCoeffBits(size_t PolyDegree) {
   }
 }
 
+const std::vector<BfvParams> &BfvContext::standardParams() {
+  // Measured fresh budget with t = 65537: about log2(Q) - 32 bits. A raw
+  // ct-ct multiply spends 28-29 bits; a key switch spends what its digit
+  // sizes set, about 30 bits at 4096/109 and 39 at 8192/175.
+  static const std::vector<BfvParams> Table = [] {
+    auto Rung = [](size_t N, std::vector<unsigned> Bits, unsigned Width) {
+      BfvParams P;
+      P.PolyDegree = N;
+      P.CoeffPrimeBits = std::move(Bits);
+      P.DecompWidth = Width;
+      return P;
+    };
+    return std::vector<BfvParams>{
+        Rung(4096, {50, 50}, 50),             // 100 bits, one digit a prime.
+        Rung(4096, {36, 36, 37}, 48),         // 109 bits.
+        Rung(8192, {44, 44, 44, 43}, 48),     // 175 bits.
+        Rung(8192, {44, 44, 44, 43, 43}, 48), // 218 bits.
+    };
+  }();
+  return Table;
+}
+
 BfvParams BfvContext::paramsForMultDepth(unsigned Depth) {
-  // Rough budget model for t = 65537: fresh ciphertexts start with
-  // ~log2(Q) - 27 bits of invariant-noise budget and each ct-ct multiply
-  // consumes ~30-35 bits. Pick the smallest standard (N, Q) pair that
-  // leaves margin, staying within the 128-bit security table.
-  BfvParams Params;
-  if (Depth <= 1) {
-    Params.PolyDegree = 4096;
-    Params.CoeffPrimeBits = {36, 36, 37}; // 109 bits.
-  } else if (Depth <= 3) {
-    Params.PolyDegree = 8192;
-    Params.CoeffPrimeBits = {44, 44, 44, 43}; // 175 bits.
-  } else {
-    Params.PolyDegree = 8192;
-    Params.CoeffPrimeBits = {44, 44, 44, 43, 43}; // 218 bits.
-  }
-  return Params;
+  const std::vector<BfvParams> &Table = standardParams();
+  return Table[Depth <= 1 ? 1 : Depth <= 3 ? 2 : 3];
 }
 
 BfvContext BfvContext::forMultDepth(unsigned Depth) {

@@ -46,12 +46,14 @@ struct BfvParams {
     return std::accumulate(CoeffPrimeBits.begin(), CoeffPrimeBits.end(), 0u);
   }
   /// Key-switching digit width in bits (trade-off: smaller = less noise per
-  /// switch, more NTTs). 48 covers every standard coefficient prime, so the
-  /// RNS gadget degenerates to one digit per prime — the classic per-prime
-  /// decomposition with digit_i = x mod q_i. Per-switch noise is bounded by
-  /// the prime size (~2^45 worst case), which sits far below the
-  /// multiplication noise that actually drives the budget; in exchange each
-  /// key switch runs one NTT set per prime instead of two or three.
+  /// switch, more NTTs). A prime of at most this many bits is one gadget
+  /// digit, digit_i = x mod q_i, the classic per-prime decomposition; 48
+  /// covers the 36- to 44-bit primes, and the 50-bit rung of
+  /// standardParams() widens it to 50. Per-switch noise grows with the
+  /// digit size: at N=4096 with 36- and 37-bit primes a rotation spends
+  /// about 30 bits of budget, more than a raw ct-ct multiply (about 28).
+  /// In exchange each key switch runs one NTT set per prime instead of two
+  /// or three.
   unsigned DecompWidth = 48;
 };
 
@@ -60,14 +62,22 @@ class BfvContext {
 public:
   explicit BfvContext(const BfvParams &Params);
 
-  /// Builds a context sized for programs with multiplicative depth
-  /// \p Depth, using the HE-standard 128-bit-security N/log2(Q) pairs.
+  /// The parameter table, cheapest rung first, every rung within the
+  /// HE-standard 128-bit-security bound: N=4096 with two 50-bit primes
+  /// (one gadget digit each) and with 109 bits, then N=8192 with 175 and
+  /// 218 bits. selectParameters() walks it with the static noise bound.
+  static const std::vector<BfvParams> &standardParams();
+
+  /// The coefficient primes a context built from \p Params draws.
+  static std::vector<uint64_t> coeffPrimes(const BfvParams &Params);
+
+  /// A context on the standardParams() rung paramsForMultDepth(\p Depth)
+  /// names.
   static BfvContext forMultDepth(unsigned Depth);
 
-  /// The parameters forMultDepth(\p Depth) would select, without paying
-  /// context construction (CRT bases, NTT tables). Callers that only need
-  /// the ring dimension — e.g. the serving tier sizing cross-request
-  /// batches by the row width N/2 — stay cheap.
+  /// A by-depth lookup into standardParams() for benches and tests that
+  /// want "a shallow ring" or "a deep ring": depth 0-1 is 4096/109, 2-3 is
+  /// 8192/175, deeper is 8192/218. Parameter selection does not use it.
   static BfvParams paramsForMultDepth(unsigned Depth);
 
   size_t polyDegree() const { return N; }

@@ -191,10 +191,6 @@ Expected<ArtifactData> driver::parseArtifact(const std::string &JsonText) {
         A.Latency.*F.Member = V->asNumber();
       }
   }
-  if (const json::Value *V = Doc.find("latency_us"))
-    A.LatencyEstimateUs = V->asNumber();
-  if (const json::Value *V = Doc.find("cost"))
-    A.Cost = V->asNumber();
   if (const json::Value *V = Doc.find("seal_code"))
     if (V->isString())
       A.SealCode = V->asString();

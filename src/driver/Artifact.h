@@ -17,9 +17,10 @@
 /// --emit-artifact`, then `porcc run --artifact` / Engine::loadArtifact()
 /// in a server). Loading re-parses and re-validates the embedded program —
 /// a corrupted or hand-edited artifact fails with a diagnostic, never
-/// executes garbage. The recorded "params" are informational: like the
-/// other analyses, a loaded kernel's parameters are selected again from
-/// its program, so they always match what its runtimes build.
+/// executes garbage. The recorded "params", "latency_us" and "cost" are
+/// informational: like the other analyses, a loaded kernel's parameters
+/// are selected again from its program on the loading Engine's backend,
+/// and its estimate is priced again under the recorded latency table.
 ///
 /// Version history:
 ///   1 — initial format. The "latency" object (the compile's latency
@@ -61,8 +62,6 @@ struct ArtifactData {
   /// The latency table the kernel was compiled with; a loaded kernel
   /// executes (and the dry-run backend charges) under it.
   quill::LatencyTable Latency;
-  double LatencyEstimateUs = 0.0;
-  double Cost = 0.0;
   std::string SealCode;
   /// Rendered pipeline notes from the original compile (informational).
   std::vector<std::string> Notes;

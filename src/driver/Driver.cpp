@@ -15,6 +15,13 @@
 using namespace porcupine;
 using namespace porcupine::driver;
 
+/// \p V rendered with printf format \p Fmt.
+static std::string num(double V, const char *Fmt = "%.2f") {
+  char Buf[64];
+  std::snprintf(Buf, sizeof(Buf), Fmt, V);
+  return Buf;
+}
+
 //===----------------------------------------------------------------------===//
 // Validation
 //===----------------------------------------------------------------------===//
@@ -172,12 +179,35 @@ Expected<std::string> Compiler::emit(const quill::Program &P) const {
   return emitSealCode(P, Opts.Codegen);
 }
 
-Expected<BfvParams>
-Compiler::selectParameters(const quill::Program &P) const {
+Expected<const backend::ExecutorBackend *>
+Compiler::findBackend(const char *Stage) const {
+  const backend::ExecutorBackend *B =
+      backend::BackendRegistry::builtin().find(Opts.Backend);
+  if (!B)
+    return Status::error(
+        Stage, "unknown execution backend '" + Opts.Backend +
+                   "'; available: " +
+                   backend::BackendRegistry::builtin().namesCsv());
+  return B;
+}
+
+Expected<ParameterSelection>
+Compiler::selectFor(const quill::Program &P) const {
   Status S = validateProgram(P, "parameters");
   if (!S)
     return S;
-  return porcupine::selectParameters({&P});
+  auto B = findBackend("parameters");
+  if (!B)
+    return B.status();
+  return porcupine::selectParameters({&P}, **B);
+}
+
+Expected<BfvParams>
+Compiler::selectParameters(const quill::Program &P) const {
+  auto Sel = selectFor(P);
+  if (!Sel)
+    return Sel.status();
+  return Sel->Params;
 }
 
 Expected<Runtime>
@@ -193,20 +223,17 @@ Compiler::instantiate(const std::vector<const quill::Program *> &Programs,
       return S;
   }
 
-  const backend::ExecutorBackend *B =
-      backend::BackendRegistry::builtin().find(Opts.Backend);
-  if (!B)
-    return Status::error(
-        "execute", "unknown execution backend '" + Opts.Backend +
-                       "'; available: " +
-                       backend::BackendRegistry::builtin().namesCsv());
+  auto Found = findBackend("execute");
+  if (!Found)
+    return Found.status();
+  const backend::ExecutorBackend *B = *Found;
   if (!B->available())
     return Status::error("execute", "execution backend '" + Opts.Backend +
                                         "' is not available in this build");
 
   backend::SessionSpec Spec;
   Spec.Programs = Programs;
-  Spec.Params = porcupine::selectParameters(Programs);
+  Spec.Params = porcupine::selectParameters(Programs, *B).Params;
   Spec.PlainModulus = Opts.Synthesis.PlainModulus;
   Spec.ExecutionSeed = Opts.ExecutionSeed;
   Spec.Latency = Opts.Synthesis.Latency;
@@ -320,8 +347,22 @@ Status Compiler::finishCompile(CompileResult &Res) const {
     Res.Optimizer = std::move(Opt->Stats);
   }
 
-  // Stage 3: static analyses and the cost estimate, priced under the same
-  // table synthesis minimized against.
+  // Stages 3 and 4: analyses, cost estimate, parameter selection.
+  Status S = analyze(Res);
+  if (!S)
+    return S;
+
+  // Stage 5: codegen.
+  auto Code = emit(Res.Program);
+  if (!Code)
+    return Code.status();
+  Res.SealCode = Code.take();
+  return Status::success();
+}
+
+Status Compiler::analyze(CompileResult &Res) const {
+  // Static analyses and the cost estimate, priced under the same table
+  // synthesis minimized against.
   Res.Mix = quill::countInstructions(Res.Program);
   Res.Depth = quill::programDepth(Res.Program);
   Res.MultDepth = quill::programMultiplicativeDepth(Res.Program);
@@ -329,17 +370,22 @@ Status Compiler::finishCompile(CompileResult &Res) const {
   Res.LatencyEstimateUs = Cost.latency(Res.Program);
   Res.Cost = Cost.cost(Res.Program);
 
-  // Stage 4: parameter selection, the same call instantiate() makes.
-  auto Params = selectParameters(Res.Program);
-  if (!Params)
-    return Params.status();
-  Res.Params = *Params;
-
-  // Stage 5: codegen.
-  auto Code = emit(Res.Program);
-  if (!Code)
-    return Code.status();
-  Res.SealCode = Code.take();
+  // Parameter selection, the same call instantiate() makes.
+  auto Sel = selectFor(Res.Program);
+  if (!Sel)
+    return Sel.status();
+  Res.Params = Sel->Params;
+  Res.PredictedBudgetBits = Sel->PredictedBudgetBits;
+  if (!Sel->Certified)
+    Res.Notes.push_back(
+        {Severity::Warning, "parameters",
+         "the noise bound certifies no parameter set (" +
+             num(NoiseGuardBits + NoiseMarginBits, "%.0f") +
+             " bits needed, " + num(Sel->PredictedBudgetBits, "%.1f") +
+             " predicted at N=" + std::to_string(Sel->Params.PolyDegree) +
+             " with a " + std::to_string(Sel->Params.coeffModulusBits()) +
+             "-bit Q); using the largest, where the runtime noise guard "
+             "decides"});
   return Status::success();
 }
 
@@ -455,7 +501,7 @@ Runtime::execute(const quill::Program &P,
     // reads a sliver above 0 bits, never 0: anything under one whole bit
     // is exhausted.
     Out.NoiseBudgetBits = noiseBudget(*Ct);
-    if (Out.NoiseBudgetBits < 1.0)
+    if (Out.NoiseBudgetBits < NoiseGuardBits)
       return Status::error(
           "execute",
           "noise budget exhausted (" + std::to_string(Out.NoiseBudgetBits) +
@@ -528,12 +574,6 @@ namespace {
 // backslashes, or control characters.
 using json::escape;
 
-std::string num(double V, const char *Fmt = "%.2f") {
-  char Buf[64];
-  std::snprintf(Buf, sizeof(Buf), Fmt, V);
-  return Buf;
-}
-
 } // namespace
 
 std::string porcupine::driver::toJson(const CompileResult &R) {
@@ -599,6 +639,7 @@ std::string porcupine::driver::toJson(const CompileResult &R) {
        ", \"coeff_modulus_bits\": " +
        std::to_string(R.Params.coeffModulusBits()) +
        ", \"mult_depth\": " + std::to_string(R.MultDepth) +
+       ", \"predicted_budget_bits\": " + num(R.PredictedBudgetBits, "%.1f") +
        "},\n";
   J += "  \"seal_code\": \"" + escape(R.SealCode) + "\",\n";
   J += "  \"notes\": [";

@@ -181,9 +181,12 @@ struct CompileResult {
   double LatencyEstimateUs = 0.0;
   double Cost = 0.0;
 
-  /// The BFV parameters selectParameters() chose for Program: what every
-  /// runtime instantiated for it builds.
+  /// The BFV parameters selectParameters() chose for Program on the
+  /// options' backend: what every runtime instantiated for it builds.
   BfvParams Params;
+  /// The static noise bound's final budget for Program at Params, in bits:
+  /// at most what the runtime meter reads after a run.
+  double PredictedBudgetBits = 0.0;
   /// Generated SEAL-style C++.
   std::string SealCode;
 
@@ -366,17 +369,19 @@ public:
   /// SEAL-style C++ for \p P under the options' codegen settings.
   Expected<std::string> emit(const quill::Program &P) const;
 
-  /// Smallest standard 128-bit-security BFV parameters covering \p P
+  /// The cheapest standard 128-bit-security BFV parameters on which the
+  /// noise bound certifies \p P on the options' backend
   /// (porcupine::selectParameters).
   Expected<BfvParams> selectParameters(const quill::Program &P) const;
 
   /// Builds an execution environment for \p Programs on the options'
   /// backend (Opts.Backend), handing it the parameters
-  /// porcupine::selectParameters() picks for the set. \p Reuse, when
-  /// given, must be the sharedState() of a runtime instantiated *on the
-  /// same backend* from the same parameters (keys are still generated
-  /// fresh; only the immutable state is shared — trivially true when
-  /// reusing within one program set, as the Engine's runtime pools do).
+  /// porcupine::selectParameters() picks for the set on that backend.
+  /// \p Reuse, when given, must be the sharedState() of a runtime
+  /// instantiated *on the same backend* from the same parameters (keys
+  /// are still generated fresh; only the immutable state is shared —
+  /// trivially true when reusing within one program set, as the Engine's
+  /// runtime pools do).
   Expected<Runtime>
   instantiate(const std::vector<const quill::Program *> &Programs,
               std::shared_ptr<const void> Reuse = nullptr) const;
@@ -396,7 +401,14 @@ public:
                                  const KernelSpec &Spec) const;
 
 private:
+  friend class Engine; // Re-analyzes the programs of loaded artifacts.
+
   Status validateOptions() const;
+  /// The registered backend Opts.Backend names; fails with \p Stage.
+  Expected<const backend::ExecutorBackend *>
+  findBackend(const char *Stage) const;
+  /// porcupine::selectParameters() for \p P on the options' backend.
+  Expected<ParameterSelection> selectFor(const quill::Program &P) const;
   Status validateProgram(const quill::Program &P, const char *Stage) const;
   /// synthesize() without the options check compile() has already made.
   /// On failure, \p FailStats (when given) receives the attempt's
@@ -408,10 +420,14 @@ private:
                                       const synth::Sketch &Sk,
                                       const quill::Program *Bundled,
                                       const std::string &BundledNotes) const;
-  /// The backend-independent tail every compile shares once Res.Program is
-  /// chosen: optimizer pipeline, analyses, cost estimate, parameter
-  /// selection, codegen.
+  /// The tail every compile shares once Res.Program is chosen: optimizer
+  /// pipeline, analyze(), codegen.
   Status finishCompile(CompileResult &Res) const;
+  /// Recomputes everything Res reports about Res.Program: instruction mix,
+  /// depths, the cost estimate under Synthesis.Latency, and the parameters
+  /// and predicted budget on the options' backend (with a warning note
+  /// when no rung certifies the program).
+  Status analyze(CompileResult &Res) const;
 
   CompileOptions Opts;
   const kernels::KernelRegistry *Registry = nullptr;

@@ -23,7 +23,6 @@
 #include "driver/Engine.h"
 
 #include "driver/Artifact.h"
-#include "quill/Analysis.h"
 
 using namespace porcupine;
 using namespace porcupine::driver;
@@ -340,23 +339,6 @@ Expected<Engine::KernelHandle> Engine::loadArtifact(const std::string &Path) {
   if (!Art)
     return Art.status();
 
-  CompileResult R;
-  R.KernelName = Art->Kernel;
-  R.Program = std::move(Art->Program);
-  R.FromSynthesis = Art->FromSynthesis;
-  // Analyses are recomputed, never trusted from disk.
-  R.Mix = quill::countInstructions(R.Program);
-  R.Depth = quill::programDepth(R.Program);
-  R.MultDepth = quill::programMultiplicativeDepth(R.Program);
-  R.Params = porcupine::selectParameters({&R.Program});
-  R.LatencyEstimateUs = Art->LatencyEstimateUs;
-  R.Cost = Art->Cost;
-  R.SealCode = Art->SealCode;
-  for (const std::string &Note : Art->Notes)
-    R.Notes.push_back({Severity::Note, "artifact", Note});
-  R.Notes.push_back(
-      {Severity::Note, "artifact", "loaded from artifact '" + Path + "'"});
-
   // The loaded kernel executes under the artifact's recorded execution
   // parameters and latency table, on top of this Engine's defaults for
   // everything else.
@@ -365,6 +347,22 @@ Expected<Engine::KernelHandle> Engine::loadArtifact(const std::string &Path) {
   Opts.Synthesis.PlainModulus = Art->PlainModulus;
   Opts.Synthesis.Latency = Art->Latency;
   Opts.ExecutionSeed = Art->ExecutionSeed;
+
+  CompileResult R;
+  R.KernelName = Art->Kernel;
+  R.Program = std::move(Art->Program);
+  R.FromSynthesis = Art->FromSynthesis;
+  R.SealCode = Art->SealCode;
+  for (const std::string &Note : Art->Notes)
+    R.Notes.push_back({Severity::Note, "artifact", Note});
+  R.Notes.push_back(
+      {Severity::Note, "artifact", "loaded from artifact '" + Path + "'"});
+  // Analyses, the cost estimate and the parameters are recomputed under
+  // the recorded latency table and this Engine's backend, never trusted
+  // from disk.
+  Status Analyzed = Compiler(Opts, Registry).analyze(R);
+  if (!Analyzed)
+    return Analyzed;
 
   std::string OptionsKey =
       Art->OptionsKey.empty() ? Opts.canonicalKey() : Art->OptionsKey;

@@ -11,13 +11,15 @@
 ///
 ///   PORCUPINE_TEST_SEED=<base> ctest -R <suite> --output-on-failure
 ///
-/// mutateBytes() is the seeded byte mutator of the parser fuzz tests.
+/// mutateBytes() is the seeded byte mutator of the parser fuzz tests, and
+/// randomProgram() the seeded program generator of the property tests.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef PORCUPINE_TESTS_TESTSEED_H
 #define PORCUPINE_TESTS_TESTSEED_H
 
+#include "quill/Program.h"
 #include "support/Random.h"
 
 #include <gtest/gtest.h>
@@ -76,6 +78,56 @@ inline std::string mutateBytes(Rng &R, std::string Text,
   }
   }
   return Text;
+}
+
+/// A seeded random well-formed straight-line program of \p NumInstrs
+/// instructions over 1-3 inputs of \p Width slots, with one splat constant
+/// in [-3, 3] and one full-width constant with values in [-5, 5].
+inline quill::Program randomProgram(Rng &R, size_t Width, int NumInstrs) {
+  using namespace quill;
+  Program P;
+  P.NumInputs = 1 + static_cast<int>(R.below(3));
+  P.VectorSize = Width;
+  P.internConstant(PlainConstant{{static_cast<int64_t>(R.below(7)) - 3}});
+  std::vector<int64_t> Vec(Width);
+  for (auto &V : Vec)
+    V = static_cast<int64_t>(R.below(11)) - 5;
+  P.internConstant(PlainConstant{Vec});
+  for (int K = 0; K < NumInstrs; ++K) {
+    int NumVals = P.numValues();
+    int A = static_cast<int>(R.below(NumVals));
+    int B = static_cast<int>(R.below(NumVals));
+    int Pt = static_cast<int>(R.below(P.Constants.size()));
+    switch (R.below(7)) {
+    case 0:
+      P.append(Instr::ctCt(Opcode::AddCtCt, A, B));
+      break;
+    case 1:
+      P.append(Instr::ctCt(Opcode::SubCtCt, A, B));
+      break;
+    case 2:
+      P.append(Instr::ctCt(Opcode::MulCtCt, A, B));
+      break;
+    case 3:
+      P.append(Instr::ctPt(Opcode::AddCtPt, A, Pt));
+      break;
+    case 4:
+      P.append(Instr::ctPt(Opcode::SubCtPt, A, Pt));
+      break;
+    case 5:
+      P.append(Instr::ctPt(Opcode::MulCtPt, A, Pt));
+      break;
+    case 6: {
+      int Amount = static_cast<int>(R.below(2 * Width - 1)) -
+                   static_cast<int>(Width - 1);
+      if (Amount % static_cast<int>(Width) == 0)
+        Amount = 1;
+      P.append(Instr::rot(A, Amount));
+      break;
+    }
+    }
+  }
+  return P;
 }
 
 } // namespace porcupine

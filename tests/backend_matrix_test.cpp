@@ -8,12 +8,13 @@
 /// The ExecutorBackend contract, tested differentially: every bundled
 /// kernel must decrypt to byte-equal outputs on every available backend
 /// pair, every backend must build the ring the compiler selected and
-/// reported, the keyless dry-run backend must serve Engine and Server
-/// traffic without constructing a single KeyGenerator, and the backend
-/// name must be part of the compile fingerprint (so the Engine cache never
-/// mixes backends). The deprecated bool-flag execute() shim completed its
-/// one-release deprecation window and was removed; select a backend via
-/// CompileOptions::Backend instead.
+/// reported, every encrypted backend's noise meter must read at least the
+/// static noise bound's prediction, the keyless dry-run backend must serve
+/// Engine and Server traffic without constructing a single KeyGenerator,
+/// and the backend name must be part of the compile fingerprint (so the
+/// Engine cache never mixes backends). The deprecated bool-flag execute()
+/// shim completed its one-release deprecation window and was removed;
+/// select a backend via CompileOptions::Backend instead.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -24,6 +25,10 @@
 #include "driver/Server.h"
 #include "kernels/Kernels.h"
 #include "quill/CostModel.h"
+#include "quill/Interpreter.h"
+#include "quill/Noise.h"
+
+#include "TestSeed.h"
 
 #include <gtest/gtest.h>
 
@@ -66,6 +71,18 @@ std::vector<std::vector<uint64_t>> inputsFor(const quill::Program &P,
     Inputs.push_back(std::move(V));
   }
   return Inputs;
+}
+
+/// An add, then \p Depth chained squarings of one width-4 input.
+quill::Program squaringChain(int Depth) {
+  quill::Program Chain;
+  Chain.NumInputs = 1;
+  Chain.VectorSize = 4;
+  Chain.append(quill::Instr::ctCt(quill::Opcode::AddCtCt, 0, 0));
+  for (int I = 0; I < Depth; ++I)
+    Chain.append(quill::Instr::ctCt(quill::Opcode::MulCtCt, Chain.outputId(),
+                                    Chain.outputId()));
+  return Chain;
 }
 
 quill::Program addProgram() {
@@ -123,18 +140,10 @@ TEST(BackendMatrix, EveryRuntimeBuildsTheSelectedParameters) {
   // One parameter decision: the ring a backend's runtime builds is the one
   // Compiler::selectParameters and CompileResult::Params report, for every
   // bundled kernel and for an add followed by 0..6 chained squarings
-  // (every rung of the ladder and past its top).
+  // (every rung of the table and past its top).
   std::vector<quill::Program> Chains;
-  for (int Depth = 0; Depth <= 6; ++Depth) {
-    quill::Program Chain;
-    Chain.NumInputs = 1;
-    Chain.VectorSize = 4;
-    Chain.append(quill::Instr::ctCt(quill::Opcode::AddCtCt, 0, 0));
-    for (int I = 0; I < Depth; ++I)
-      Chain.append(quill::Instr::ctCt(quill::Opcode::MulCtCt,
-                                      Chain.outputId(), Chain.outputId()));
-    Chains.push_back(std::move(Chain));
-  }
+  for (int Depth = 0; Depth <= 6; ++Depth)
+    Chains.push_back(squaringChain(Depth));
 
   for (const std::string &B : availableBackends()) {
     Compiler C(backendOptions(B));
@@ -154,10 +163,85 @@ TEST(BackendMatrix, EveryRuntimeBuildsTheSelectedParameters) {
       ASSERT_TRUE(R.hasValue()) << Kernel << ": " << R.status().toString();
       Check(R->Program, R->Params.PolyDegree, Kernel);
     }
-    // The ladder: N=4096 up to depth 1, N=8192 beyond.
-    for (size_t Depth = 0; Depth < Chains.size(); ++Depth)
-      Check(Chains[Depth], Depth <= 1 ? 4096 : 8192,
+    // The noise bound on the rungs BfvContext builds puts N=4096 up to
+    // depth 2 and N=8192 beyond; "seal" prices its own modulus.
+    for (size_t Depth = 0; Depth < Chains.size(); ++Depth) {
+      auto Selected = C.selectParameters(Chains[Depth]);
+      ASSERT_TRUE(Selected.hasValue()) << Selected.status().toString();
+      size_t Want = Depth <= 2 ? 4096 : 8192;
+      Check(Chains[Depth], B == "seal" ? Selected->PolyDegree : Want,
             "depth-" + std::to_string(Depth) + " chain");
+    }
+  }
+}
+
+TEST(BackendMatrix, PredictedBudgetIsAtMostTheMeasuredOne) {
+  // The backend-generic half of the noise-bound check (backend_test checks
+  // "bfv" after every instruction): on every encrypted backend and every
+  // rung of the table, priced as that backend builds the rung, each
+  // bundled kernel's and squaring chain's predicted final budget is at
+  // most what the backend's meter reads, and a result the bound gives at
+  // least the guard's bit decrypts right.
+  const uint64_t Seed = testSeed(41);
+  SeedReporter Report(Seed);
+  Rng R(Seed);
+  for (const std::string &Name : availableBackends()) {
+    const backend::ExecutorBackend &B =
+        *backend::BackendRegistry::builtin().find(Name);
+    if (!B.capabilities().Encrypted)
+      continue;
+    Compiler C(backendOptions(Name));
+    std::vector<quill::Program> Programs;
+    for (const std::string &Kernel : C.registry().names()) {
+      auto Res = C.compile(Kernel);
+      ASSERT_TRUE(Res.hasValue()) << Kernel << ": " << Res.status().toString();
+      Programs.push_back(Res->Program);
+    }
+    for (int Depth = 0; Depth <= 7; ++Depth)
+      Programs.push_back(squaringChain(Depth));
+    backend::SessionSpec Spec;
+    for (const quill::Program &P : Programs)
+      Spec.Programs.push_back(&P);
+    Spec.ExecutionSeed = Seed;
+
+    for (const BfvParams &Rung : BfvContext::standardParams()) {
+      Spec.Params = Rung;
+      auto Exec = B.createExecutor(Spec);
+      ASSERT_TRUE(Exec.hasValue()) << Exec.status().toString();
+      const quill::NoiseParams Noise = B.noiseParams(Rung);
+      const size_t Row = (*Exec)->slotCount();
+      for (const quill::Program &P : Programs) {
+        // Inputs and the plaintext model span the whole row, which is
+        // where rotations wrap on a ciphertext.
+        std::vector<backend::Value> In;
+        std::vector<std::vector<uint64_t>> Plain;
+        for (int I = 0; I < P.NumInputs; ++I) {
+          Plain.push_back(R.vectorBelow(Spec.PlainModulus, P.VectorSize));
+          Plain.back().resize(Row, 0);
+          auto Ct = (*Exec)->encrypt(Plain.back());
+          ASSERT_TRUE(Ct.hasValue()) << Ct.status().toString();
+          In.push_back(Ct.take());
+        }
+        auto Out = (*Exec)->run(P, In);
+        ASSERT_TRUE(Out.hasValue()) << Out.status().toString();
+        const double Predicted = quill::predictNoiseBudget(P, Noise);
+        const std::string What = Name + " at N=" +
+                                 std::to_string(Rung.PolyDegree) + ", " +
+                                 std::to_string(Rung.coeffModulusBits()) +
+                                 " bits: " + quill::printProgram(P);
+        // SEAL's meter reports whole bits, flooring log2 Q and log2 nu
+        // apart, so it may read up to one bit under the continuous budget
+        // the bound predicts ("bfv"'s meter is continuous, and backend_test
+        // holds it to the bound after every instruction).
+        EXPECT_LE(Predicted, (*Exec)->noiseBudget(*Out) + 1.0) << What;
+        quill::Program RowWide = P;
+        RowWide.VectorSize = Row;
+        if (Predicted >= NoiseGuardBits)
+          EXPECT_EQ((*Exec)->decrypt(*Out, Row),
+                    quill::interpret(RowWide, Plain, Spec.PlainModulus))
+              << What;
+      }
+    }
   }
 }
 

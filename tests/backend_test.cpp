@@ -8,11 +8,17 @@
 #include "backend/LatencyProfiler.h"
 #include "backend/ParameterSelector.h"
 #include "backend/SealCodeGen.h"
+#include "driver/Driver.h"
 #include "kernels/Kernels.h"
 #include "quill/Analysis.h"
 #include "quill/Interpreter.h"
+#include "quill/Noise.h"
+
+#include "TestSeed.h"
 
 #include <gtest/gtest.h>
+
+#include <iterator>
 
 using namespace porcupine;
 using namespace porcupine::kernels;
@@ -265,8 +271,18 @@ TEST(Profiler, LatencyOrderingMatchesHeExpectations) {
 
 namespace {
 
+/// The "bfv" backend: how the contexts built here are priced.
+const backend::ExecutorBackend &bfvBackend() {
+  return *backend::BackendRegistry::builtin().find("bfv");
+}
+
+/// The parameters selectParameters() picks for \p Programs on "bfv".
+BfvParams selectOnBfv(const std::vector<const Program *> &Programs) {
+  return selectParameters(Programs, bfvBackend()).Params;
+}
+
 /// An add, then \p Depth chained squarings: a program on each rung of the
-/// parameter ladder and past its top.
+/// parameter table and past its top.
 Program squaringChain(unsigned Depth) {
   Program Chain;
   Chain.NumInputs = 1;
@@ -280,7 +296,7 @@ Program squaringChain(unsigned Depth) {
 
 TEST(ParameterSelection, DepthLadder) {
   for (const auto &B : kernels::allKernels()) {
-    BfvParams Params = selectParameters({&B.Synthesized});
+    BfvParams Params = selectOnBfv({&B.Synthesized});
     EXPECT_LE(Params.coeffModulusBits(),
               BfvContext::maxSecureCoeffBits(Params.PolyDegree))
         << B.Spec.name();
@@ -288,25 +304,25 @@ TEST(ParameterSelection, DepthLadder) {
   const Program Gx = kernels::gxKernel().Synthesized;
   const Program Harris = kernels::harrisApp().Synthesized;
   // Gradient kernels are multiply-free: smallest tier.
-  EXPECT_EQ(selectParameters({&Gx}).PolyDegree, 4096u);
+  EXPECT_EQ(selectOnBfv({&Gx}).PolyDegree, 4096u);
   // Harris needs the deep tier.
-  EXPECT_EQ(selectParameters({&Harris}).PolyDegree, 8192u);
-  // A program set takes its deepest member's rung.
-  EXPECT_EQ(selectParameters({&Gx, &Harris}).CoeffPrimeBits,
-            selectParameters({&Harris}).CoeffPrimeBits);
+  EXPECT_EQ(selectOnBfv({&Harris}).PolyDegree, 8192u);
+  // A program set takes its noisiest member's rung.
+  EXPECT_EQ(selectOnBfv({&Gx, &Harris}).CoeffPrimeBits,
+            selectOnBfv({&Harris}).CoeffPrimeBits);
 }
 
 TEST(ParameterSelection, BuiltContextHasTheSelectedModulus) {
   // What the compiler reports (Params.coeffModulusBits(), the sum of the
   // prime sizes) is the modulus a context built from the selection has,
-  // for every bundled kernel and on every rung of the ladder.
+  // for every bundled kernel and on every rung of the table.
   std::vector<Program> Programs;
   for (const auto &B : kernels::allKernels())
     Programs.push_back(B.Synthesized);
   for (unsigned Depth = 0; Depth <= 6; ++Depth)
     Programs.push_back(squaringChain(Depth));
   for (const Program &P : Programs) {
-    BfvParams Params = selectParameters({&P});
+    BfvParams Params = selectOnBfv({&P});
     BfvContext Ctx(Params);
     const std::string Text = printProgram(P);
     EXPECT_EQ(Ctx.polyDegree(), Params.PolyDegree) << Text;
@@ -314,6 +330,125 @@ TEST(ParameterSelection, BuiltContextHasTheSelectedModulus) {
     EXPECT_LE(Params.coeffModulusBits(),
               BfvContext::maxSecureCoeffBits(Params.PolyDegree))
         << Text;
+  }
+}
+
+/// Bundled-program compiles under the default pipeline on "bfv".
+driver::Compiler defaultPipeline() {
+  driver::CompileOptions Opts;
+  Opts.RunSynthesis = false;
+  return driver::Compiler(Opts);
+}
+
+TEST(ParameterSelection, EveryKernelTakesTheCheapestCertifiedRung) {
+  // The noise bound's choices on "bfv" for the default-pipeline programs.
+  // Polynomial Regression and Variance left N=8192 / 175 bits for these
+  // rungs; no kernel takes a larger rung than the old depth ladder gave.
+  struct Pin {
+    const char *Kernel;
+    size_t N;
+    unsigned Bits;
+  };
+  const Pin Pins[] = {
+      {"Box Blur", 4096, 100},          {"Dot Product", 4096, 100},
+      {"Hamming Distance", 4096, 100},  {"L2 Distance", 4096, 100},
+      {"Linear Regression", 4096, 100}, {"Gx", 4096, 100},
+      {"Gy", 4096, 100},                {"Polynomial Regression", 4096, 109},
+      {"Variance", 4096, 109},          {"Roberts Cross", 4096, 109},
+      {"Conv2D 5x5", 4096, 109},        {"Group-By Sum", 4096, 109},
+      {"Perceptron 8-4-1", 8192, 218},
+  };
+  driver::Compiler C = defaultPipeline();
+  ASSERT_EQ(C.registry().names().size(), std::size(Pins));
+  for (const Pin &Want : Pins) {
+    auto R = C.compile(Want.Kernel);
+    ASSERT_TRUE(R.hasValue()) << Want.Kernel << ": " << R.status().toString();
+    EXPECT_EQ(R->Params.PolyDegree, Want.N) << Want.Kernel;
+    EXPECT_EQ(R->Params.coeffModulusBits(), Want.Bits) << Want.Kernel;
+    EXPECT_GE(R->PredictedBudgetBits, NoiseGuardBits + NoiseMarginBits)
+        << Want.Kernel;
+  }
+  auto Sobel = C.optimize(kernels::sobelApp().Synthesized);
+  auto Harris = C.optimize(kernels::harrisApp().Synthesized);
+  ASSERT_TRUE(Sobel.hasValue() && Harris.hasValue());
+  EXPECT_EQ(selectOnBfv({&Sobel->Program}).coeffModulusBits(), 109u);
+  EXPECT_EQ(selectOnBfv({&Sobel->Program}).PolyDegree, 4096u);
+  EXPECT_EQ(selectOnBfv({&Harris->Program}).coeffModulusBits(), 175u);
+}
+
+//===----------------------------------------------------------------------===//
+// The static noise bound against the runtime meter
+//===----------------------------------------------------------------------===//
+
+TEST(NoiseBound, PredictedBudgetIsAtMostTheMeasuredOneAfterEveryInstruction) {
+  // On every rung of the table, for every bundled kernel and Sobel and
+  // Harris under the default pipeline, the squaring chains, and seeded
+  // random programs: the bound's budget for each value, inputs included,
+  // is at most what the meter reads, and an output the bound gives at
+  // least the guard's bit decrypts right on the whole batching row.
+  const uint64_t Seed = testSeed(40);
+  SeedReporter Report(Seed);
+  Rng R(Seed);
+  driver::Compiler C = defaultPipeline();
+  std::vector<Program> Programs;
+  for (const std::string &Name : C.registry().names()) {
+    auto Res = C.compile(Name);
+    ASSERT_TRUE(Res.hasValue()) << Name << ": " << Res.status().toString();
+    Programs.push_back(Res->Program);
+  }
+  for (const Program &App :
+       {kernels::sobelApp().Synthesized, kernels::harrisApp().Synthesized}) {
+    auto Opt = C.optimize(App);
+    ASSERT_TRUE(Opt.hasValue()) << Opt.status().toString();
+    Programs.push_back(Opt->Program);
+  }
+  for (unsigned Depth = 0; Depth <= 7; ++Depth)
+    Programs.push_back(squaringChain(Depth));
+  for (int I = 0; I < 40; ++I)
+    Programs.push_back(randomProgram(R, 4 + 4 * (I % 2), 6 + I % 7));
+  std::vector<const Program *> All;
+  for (const Program &P : Programs)
+    All.push_back(&P);
+
+  for (const BfvParams &Rung : BfvContext::standardParams()) {
+    const std::string Where =
+        "N=" + std::to_string(Rung.PolyDegree) + ", " +
+        std::to_string(Rung.coeffModulusBits()) + "-bit Q: ";
+    const NoiseParams Noise = bfvBackend().noiseParams(Rung);
+    BfvContext Ctx(Rung);
+    const uint64_t T = Ctx.plainModulus();
+    BfvExecutor Exec(Ctx, R, All);
+    for (const Program &P : Programs) {
+      const std::vector<double> Predicted = predictNoiseBudgets(P, Noise);
+      std::vector<SlotVector> Wide;
+      std::vector<Ciphertext> Cts;
+      std::vector<double> Measured;
+      for (int In = 0; In < P.NumInputs; ++In) {
+        SlotVector Row(Ctx.slotCount(), 0);
+        SlotVector Slots = R.vectorBelow(T, P.VectorSize);
+        std::copy(Slots.begin(), Slots.end(), Row.begin());
+        Wide.push_back(std::move(Row));
+        Cts.push_back(Exec.encryptInput(Slots));
+        Measured.push_back(Exec.noiseBudget(Cts.back()));
+      }
+      Ciphertext Out = Exec.run(P, Cts, [&](const Ciphertext &Ct) {
+        Measured.push_back(Exec.noiseBudget(Ct));
+      });
+      const std::string Text = Where + printProgram(P);
+      ASSERT_EQ(Measured.size(), Predicted.size()) << Text;
+      // The two sides compute log2(Q) apart, so an all-zero value (both at
+      // the cap) may differ in the last bits.
+      for (size_t V = 0; V < Measured.size(); ++V)
+        EXPECT_LE(Predicted[V], Measured[V] + 1e-9)
+            << "value " << V << " of " << Text;
+      if (Predicted[P.outputId()] < NoiseGuardBits)
+        continue;
+      Program RowWide = P;
+      RowWide.VectorSize = Ctx.slotCount();
+      EXPECT_EQ(Exec.decryptOutput(Out, Ctx.slotCount()),
+                interpret(RowWide, Wide, T))
+          << Text;
+    }
   }
 }
 

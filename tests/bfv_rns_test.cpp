@@ -81,9 +81,10 @@ struct RnsFixture : public ::testing::Test, public BothPaths {
   RnsFixture() : BothPaths(rnsParams(), testSeed(0)) {}
 };
 
-/// The contexts the serving stack runs: BfvContext::forMultDepth at depth
-/// 1, 2 and 4 (N = 4096 with three primes, N = 8192 with four and five).
-class ServingDepth : public ::testing::TestWithParam<unsigned> {};
+/// The contexts the serving stack runs: every rung of
+/// BfvContext::standardParams() (N = 4096 with two 50-bit primes, one
+/// gadget digit each, and with three primes; N = 8192 with four and five).
+class ServingRung : public ::testing::TestWithParam<BfvParams> {};
 
 /// The number of residues in which \p X and \p Y differ once both are in
 /// coefficient form (every residue counts when the shapes differ).
@@ -107,10 +108,10 @@ static size_t residueDiffs(const BfvContext &Ctx, Ciphertext X,
 // Differential: RNS hot path vs BigInt oracle
 //===----------------------------------------------------------------------===//
 
-TEST_P(ServingDepth, MultiplyMatchesBigIntOracle) {
+TEST_P(ServingRung, MultiplyMatchesBigIntOracle) {
   uint64_t Seed = testSeed(4);
   SeedReporter Report(Seed);
-  BothPaths P(BfvContext::paramsForMultDepth(GetParam()), Seed);
+  BothPaths P(GetParam(), Seed);
   uint64_t T = P.Ctx.plainModulus();
   auto U = P.randomSlots(), V = P.randomSlots();
   Ciphertext A = P.encryptSlots(U), B = P.encryptSlots(V);
@@ -143,10 +144,10 @@ TEST_P(ServingDepth, MultiplyMatchesBigIntOracle) {
   EXPECT_EQ(P.Encoder.decode(P.DecRns.decrypt(Square)), UU);
 }
 
-TEST_P(ServingDepth, NoiseBudgetMatchesBigIntOracle) {
+TEST_P(ServingRung, NoiseBudgetMatchesBigIntOracle) {
   uint64_t Seed = testSeed(5);
   SeedReporter Report(Seed);
-  BothPaths P(BfvContext::paramsForMultDepth(GetParam()), Seed);
+  BothPaths P(GetParam(), Seed);
   RelinKeys Rlk = P.Keygen.createRelinKeys();
   GaloisKeys Gk = P.Keygen.createGaloisKeys({1});
   auto U = P.randomSlots(), V = P.randomSlots();
@@ -199,31 +200,36 @@ static uint64_t residueDigest(const BfvContext &Ctx, Ciphertext Ct) {
   return H;
 }
 
-TEST_P(ServingDepth, CiphertextsMatchGoldenDigests) {
+TEST_P(ServingRung, CiphertextsMatchGoldenDigests) {
   // A fixed-seed chain through every transform-heavy operation, pinned to
-  // digests recorded with the scalar NTT and the 55-bit auxiliary basis.
+  // digests recorded with the scalar NTT and the 55-bit auxiliary basis
+  // (the 100-bit rung's with the vector NTT and the 50-bit basis).
   // The NTT kernels and the auxiliary primes may change; a ciphertext may
   // not. The seed is deliberately not testSeed(): the goldens are for one
   // input only.
   struct Golden {
-    unsigned Depth;
+    size_t N;
+    unsigned Bits;
     uint64_t Product, Square, Relin, Rotated, PlainProduct;
   };
   static const Golden Goldens[] = {
-      {1, 0x97aef037be657281ull, 0x40497baff4cc8129ull, 0xb6701362cddcff41ull,
-       0x1d6eb5b89b8bb0d3ull, 0x6c03292a87b323b6ull},
-      {2, 0xcad13155cc0568e1ull, 0x01144886b08baac6ull, 0x0cd4dc035d381687ull,
-       0x5d334a49a7ecc7bfull, 0xe17c777636a1c4f1ull},
-      {4, 0x02e273bf2cdcf6aaull, 0xc86c3644c07c1793ull, 0x58d9c458eaea20feull,
-       0xb65a8c5e1d761ed0ull, 0x5ddb55481d2a91f2ull},
+      {4096, 100, 0xb1ceba87310b4601ull, 0x4e97a11a23c9ae62ull,
+       0x737f3d57de814872ull, 0x0b8bce5b31a91bfeull, 0x6dfa270bf326285dull},
+      {4096, 109, 0x97aef037be657281ull, 0x40497baff4cc8129ull,
+       0xb6701362cddcff41ull, 0x1d6eb5b89b8bb0d3ull, 0x6c03292a87b323b6ull},
+      {8192, 175, 0xcad13155cc0568e1ull, 0x01144886b08baac6ull,
+       0x0cd4dc035d381687ull, 0x5d334a49a7ecc7bfull, 0xe17c777636a1c4f1ull},
+      {8192, 218, 0x02e273bf2cdcf6aaull, 0xc86c3644c07c1793ull,
+       0x58d9c458eaea20feull, 0xb65a8c5e1d761ed0ull, 0x5ddb55481d2a91f2ull},
   };
   const Golden *Want = nullptr;
   for (const Golden &G : Goldens)
-    if (G.Depth == GetParam())
+    if (G.N == GetParam().PolyDegree &&
+        G.Bits == GetParam().coeffModulusBits())
       Want = &G;
   ASSERT_NE(Want, nullptr);
 
-  BfvContext Ctx = BfvContext::forMultDepth(GetParam());
+  BfvContext Ctx(GetParam());
   Rng R(0x601dd16e57ull);
   KeyGenerator Keygen(Ctx, R);
   Encryptor Enc(Ctx, Keygen.createPublicKey(), R);
@@ -250,9 +256,13 @@ TEST_P(ServingDepth, CiphertextsMatchGoldenDigests) {
   EXPECT_EQ(residueDigest(Ctx, PlainProduct), Want->PlainProduct);
 }
 
-INSTANTIATE_TEST_SUITE_P(Serving, ServingDepth, ::testing::Values(1u, 2u, 4u),
+INSTANTIATE_TEST_SUITE_P(Serving, ServingRung,
+                         ::testing::ValuesIn(BfvContext::standardParams()),
                          [](const auto &Info) {
-                           return "depth" + std::to_string(Info.param);
+                           return "n" + std::to_string(Info.param.PolyDegree) +
+                                  "_q" +
+                                  std::to_string(
+                                      Info.param.coeffModulusBits());
                          });
 
 TEST_F(RnsFixture, RelinearizeMatchesAcrossGadgets) {

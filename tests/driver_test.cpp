@@ -306,9 +306,9 @@ TEST(CompilerStages, SelectParametersAlone) {
   Compiler C;
   auto Params = C.selectParameters(addProgram());
   ASSERT_TRUE(Params.hasValue()) << Params.status().toString();
-  // A multiply-free program takes the bottom rung of the ladder.
+  // A multiply-free program takes the bottom rung of the table.
   EXPECT_EQ(Params->PolyDegree, 4096u);
-  EXPECT_EQ(Params->coeffModulusBits(), 109u);
+  EXPECT_EQ(Params->coeffModulusBits(), 100u);
 }
 
 TEST(CompilerStages, ExecuteOnBothBundledBackends) {
@@ -376,6 +376,36 @@ TEST(CompilerStages, ExhaustedNoiseBudgetIsAnErrorNotGarbage) {
   auto Plain7 = Dry.execute(Seven, In);
   ASSERT_TRUE(Plain7.hasValue()) << Plain7.status().toString();
   EXPECT_EQ(Plain7->Outputs, quill::interpret(Seven, In, T));
+}
+
+TEST(CompilerStages, AnUncertifiedProgramCompilesOnTheTopRungWithAWarning) {
+  // No rung leaves six squarings the noise bound's margin: the compile
+  // still succeeds, on the top rung, and its notes say the runtime guard
+  // decides.
+  KernelBundle Deep;
+  Deep.Spec = makeKernelSpec("x^64", 1, 4, DataLayout{},
+                             [](const auto &In, auto Konst) {
+                               (void)Konst;
+                               std::decay_t<decltype(In[0])> Out;
+                               for (size_t I = 0; I < 4; ++I) {
+                                 auto V = In[0][I];
+                                 for (int S = 0; S < 6; ++S)
+                                   V = V * V;
+                                 Out.push_back(V);
+                               }
+                               return Out;
+                             });
+  Deep.Synthesized = squarings(6);
+  CompileOptions Opts;
+  Opts.RunSynthesis = false;
+  auto R = Compiler(Opts).compile(Deep);
+  ASSERT_TRUE(R.hasValue()) << R.status().toString();
+  EXPECT_EQ(R->Params.PolyDegree, 8192u);
+  EXPECT_EQ(R->Params.coeffModulusBits(), 218u);
+  bool Warned = false;
+  for (const Diagnostic &D : R->Notes)
+    Warned |= D.Sev == Severity::Warning && D.Stage == "parameters";
+  EXPECT_TRUE(Warned);
 }
 
 TEST(CompilerStages, VerifyReportsInequivalenceAsSuccess) {

@@ -32,6 +32,7 @@
 #include <atomic>
 #include <cstdio>
 #include <thread>
+#include <utility>
 
 using namespace porcupine;
 using namespace porcupine::driver;
@@ -634,6 +635,43 @@ TEST(Artifact, RecordedParamsAreNotTrustedOnLoad) {
       P.NumInputs, std::vector<uint64_t>(P.VectorSize, 2)));
   ASSERT_TRUE(Out.hasValue()) << Out.status().toString();
   EXPECT_EQ(Out->PolyDegree, (*L)->result().Params.PolyDegree);
+}
+
+TEST(Artifact, RecordedCostEstimateIsNotTrustedOnLoad) {
+  // "cost" and "latency_us" are informational too: a hand-edited estimate
+  // loads with, and the dry-run backend charges, what the recorded latency
+  // table prices the program at.
+  Compiler C(dryrunOptions());
+  auto R = C.compile("dot product");
+  ASSERT_TRUE(R.hasValue()) << R.status().toString();
+  std::string Doc = renderArtifact(*R, C.options());
+  const std::pair<std::string, std::string> Edits[] = {
+      {"\"cost\": ", "1"}, {"\"latency_us\": ", "2"}};
+  for (const auto &[Field, Value] : Edits) {
+    size_t At = Doc.find(Field);
+    ASSERT_NE(At, std::string::npos) << Doc;
+    At += Field.size();
+    Doc.replace(At, Doc.find(',', At) - At, Value);
+  }
+
+  const std::string Path = "engine_test_cost_artifact.tmp.json";
+  {
+    std::FILE *F = std::fopen(Path.c_str(), "wb");
+    ASSERT_NE(F, nullptr);
+    std::fwrite(Doc.data(), 1, Doc.size(), F);
+    std::fclose(F);
+  }
+  Engine E(EngineOptions{1, 1, dryrunOptions()});
+  auto L = E.loadArtifact(Path);
+  std::remove(Path.c_str());
+  ASSERT_TRUE(L.hasValue()) << L.status().toString();
+  EXPECT_EQ((*L)->result().Cost, 23600.0);
+  EXPECT_EQ((*L)->result().LatencyEstimateUs, 11800.0);
+  const quill::Program &P = (*L)->program();
+  auto Out = (*L)->execute(std::vector<std::vector<uint64_t>>(
+      P.NumInputs, std::vector<uint64_t>(P.VectorSize, 2)));
+  ASSERT_TRUE(Out.hasValue()) << Out.status().toString();
+  EXPECT_EQ(Out->ChargedLatencyUs, 11800.0);
 }
 
 TEST(Artifact, FuzzedArtifactJsonLoadsOrFailsCleanly) {

@@ -30,55 +30,6 @@ namespace {
 
 constexpr uint64_t T = 65537;
 
-/// Generates a random well-formed program.
-Program randomProgram(Rng &R, size_t Width, int NumInstrs) {
-  Program P;
-  P.NumInputs = 1 + static_cast<int>(R.below(3));
-  P.VectorSize = Width;
-  // A couple of constants: one splat, one full-width.
-  P.internConstant(PlainConstant{{static_cast<int64_t>(R.below(7)) - 3}});
-  std::vector<int64_t> Vec(Width);
-  for (auto &V : Vec)
-    V = static_cast<int64_t>(R.below(11)) - 5;
-  P.internConstant(PlainConstant{Vec});
-
-  for (int K = 0; K < NumInstrs; ++K) {
-    int NumVals = P.numValues();
-    int A = static_cast<int>(R.below(NumVals));
-    int B = static_cast<int>(R.below(NumVals));
-    int Pt = static_cast<int>(R.below(P.Constants.size()));
-    switch (R.below(7)) {
-    case 0:
-      P.append(Instr::ctCt(Opcode::AddCtCt, A, B));
-      break;
-    case 1:
-      P.append(Instr::ctCt(Opcode::SubCtCt, A, B));
-      break;
-    case 2:
-      P.append(Instr::ctCt(Opcode::MulCtCt, A, B));
-      break;
-    case 3:
-      P.append(Instr::ctPt(Opcode::AddCtPt, A, Pt));
-      break;
-    case 4:
-      P.append(Instr::ctPt(Opcode::SubCtPt, A, Pt));
-      break;
-    case 5:
-      P.append(Instr::ctPt(Opcode::MulCtPt, A, Pt));
-      break;
-    case 6: {
-      int Amount = static_cast<int>(R.below(2 * Width - 1)) -
-                   static_cast<int>(Width - 1);
-      if (Amount % static_cast<int>(Width) == 0)
-        Amount = 1;
-      P.append(Instr::rot(A, Amount));
-      break;
-    }
-    }
-  }
-  return P;
-}
-
 std::vector<SlotVector> randomInputs(Rng &R, const Program &P) {
   std::vector<SlotVector> Inputs;
   for (int I = 0; I < P.NumInputs; ++I)

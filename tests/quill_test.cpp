@@ -103,13 +103,13 @@ TEST(Interpreter, FullVectorConstantReadsZeroPastItsValues) {
   int Shifted = Half.append(Instr::ctPt(Opcode::AddCtPt, 0, HalfVec));
   int Right = Half.append(Instr::rot(Shifted, -1));
   Half.append(Instr::ctPt(Opcode::MulCtPt, Right, HalfVec));
-  backend::SessionSpec Spec;
-  Spec.Programs = {&Half};
-  Spec.Params = selectParameters(Spec.Programs);
-  Spec.PlainModulus = T;
   const backend::ExecutorBackend *Dry =
       backend::BackendRegistry::builtin().find("dryrun");
   ASSERT_NE(Dry, nullptr);
+  backend::SessionSpec Spec;
+  Spec.Programs = {&Half};
+  Spec.Params = selectParameters(Spec.Programs, *Dry).Params;
+  Spec.PlainModulus = T;
   auto Exec = Dry->createExecutor(Spec);
   ASSERT_TRUE(Exec.hasValue()) << Exec.status().toString();
   const size_t Row = (*Exec)->slotCount();

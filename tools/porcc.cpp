@@ -343,9 +343,10 @@ int cmdCompile(int Argc, char **Argv) {
                 Result->Stats.ProvenOptimal ? ", proven optimal in sketch"
                                             : "",
                 Result->Stats.TimedOut ? ", timed out" : "");
-  std::printf("parameters: N=%zu, %u-bit coeff modulus, mult-depth %d\n\n",
+  std::printf("parameters: N=%zu, %u-bit coeff modulus, mult-depth %d, "
+              "predicted noise budget %.1f bits\n\n",
               Result->Params.PolyDegree, Result->Params.coeffModulusBits(),
-              Result->MultDepth);
+              Result->MultDepth, Result->PredictedBudgetBits);
   std::printf("%s", Result->SealCode.c_str());
   return 0;
 }
@@ -600,11 +601,14 @@ parseBatchInputs(const std::string &Text, bool Batch, size_t Width,
   return Calls;
 }
 
-void printOutcome(const driver::ExecuteOutcome &Out, uint64_t PlainModulus) {
+/// Prints one call's outputs; \p PredictedBits is the static noise bound's
+/// budget for the program, printed beside the measured one.
+void printOutcome(const driver::ExecuteOutcome &Out, uint64_t PlainModulus,
+                  double PredictedBits) {
   if (Out.Encrypted)
     std::printf("; executed under BFV (N=%zu), noise budget left %.1f "
-                "bits\n",
-                Out.PolyDegree, Out.NoiseBudgetBits);
+                "bits (predicted %.1f)\n",
+                Out.PolyDegree, Out.NoiseBudgetBits, PredictedBits);
   else
     std::printf("; executed by the keyless dry-run backend (mod %llu)\n",
                 static_cast<unsigned long long>(PlainModulus));
@@ -654,7 +658,7 @@ int cmdRun(int Argc, char **Argv) {
     if (!Many)
       return fail(Many.status());
     for (const driver::ExecuteOutcome &Out : *Many)
-      printOutcome(Out, T);
+      printOutcome(Out, T, Kernel.result().PredictedBudgetBits);
     return 0;
   }
 
@@ -684,11 +688,13 @@ int cmdRun(int Argc, char **Argv) {
   auto RT = C.instantiate({&*P});
   if (!RT)
     return fail(RT.status());
+  double Predicted =
+      selectParameters({&*P}, RT->backendInfo()).PredictedBudgetBits;
   for (const auto &Call : *Calls) {
     auto Out = RT->execute(*P, Call, P->VectorSize);
     if (!Out)
       return fail(Out.status());
-    printOutcome(*Out, T);
+    printOutcome(*Out, T, Predicted);
   }
   return 0;
 }
