@@ -30,12 +30,14 @@ namespace porcupine {
 namespace bench {
 
 /// Builds the evaluation context for a pair of kernel programs: the
-/// parameters selectParameters() picks for the two together on "bfv".
+/// parameters selectParameters() picks for the two together on "bfv",
+/// under the table's plaintext modulus.
 inline BfvContext contextFor(const quill::Program &A,
                              const quill::Program &B) {
   const backend::ExecutorBackend &Bfv =
       *backend::BackendRegistry::builtin().find("bfv");
-  return BfvContext(selectParameters({&A, &B}, Bfv).Params);
+  return BfvContext(
+      selectParameters({&A, &B}, Bfv, BfvParams().PlainModulus).Params);
 }
 
 /// Measures the mean wall-clock latency (microseconds) of running \p P on

@@ -194,7 +194,8 @@ public:
 
   /// How this backend builds \p Params, in the numbers the static noise
   /// bound prices (quill/Noise.h). The default is BfvContext(Params), which
-  /// "bfv" builds and "dryrun" mirrors.
+  /// "bfv" builds and "dryrun" mirrors. selectParameters() replaces the
+  /// plaintext modulus with the session's.
   virtual quill::NoiseParams noiseParams(const BfvParams &Params) const;
 
   /// Whether the backend can actually run in this process (a backend may

@@ -33,17 +33,26 @@ pricedRungs(const backend::ExecutorBackend &Backend) {
 
 ParameterSelection porcupine::selectParameters(
     const std::vector<const quill::Program *> &Programs,
-    const backend::ExecutorBackend &Backend) {
+    const backend::ExecutorBackend &Backend, uint64_t PlainModulus) {
   const std::vector<BfvParams> &Table = BfvContext::standardParams();
   const std::vector<quill::NoiseParams> &Priced = pricedRungs(Backend);
+  size_t Width = 0;
+  for (const quill::Program *P : Programs)
+    Width = std::max(Width, P->VectorSize);
   ParameterSelection Sel;
   for (size_t I = 0; I < Table.size(); ++I) {
+    // The fresh noise and every multiply scale with t, so the session's
+    // plaintext modulus prices the rung, not the table's.
+    quill::NoiseParams Noise = Priced[I];
+    Noise.PlainModulus = PlainModulus;
     double Budget = std::numeric_limits<double>::infinity();
     for (const quill::Program *P : Programs)
-      Budget = std::min(Budget, quill::predictNoiseBudget(*P, Priced[I]));
+      Budget = std::min(Budget, quill::predictNoiseBudget(*P, Noise));
     Sel.Params = Table[I];
     Sel.PredictedBudgetBits = Budget;
-    Sel.Certified = Budget >= NoiseGuardBits + NoiseMarginBits;
+    // A rung whose batching row is narrower than a program cannot run it.
+    Sel.Certified = Table[I].PolyDegree / 2 >= Width &&
+                    Budget >= NoiseGuardBits + NoiseMarginBits;
     if (Sel.Certified)
       break;
   }

@@ -10,8 +10,8 @@
 /// and assumes around its compiler. It walks BfvContext::standardParams(),
 /// cheapest rung first, and prices each rung with the static noise bound
 /// of quill/Noise.h as the chosen backend builds it; the first rung on
-/// which every program keeps NoiseGuardBits + NoiseMarginBits of predicted
-/// budget wins.
+/// which every program fits the batching row (N/2 slots) and keeps
+/// NoiseGuardBits + NoiseMarginBits of predicted budget wins.
 ///
 /// This is the only place programs are mapped to parameters: the compiler
 /// reports its result, and every execution backend builds exactly the
@@ -26,6 +26,7 @@
 #include "bfv/BfvContext.h"
 #include "quill/Program.h"
 
+#include <cstdint>
 #include <vector>
 
 namespace porcupine {
@@ -46,16 +47,19 @@ struct ParameterSelection {
   /// Params, in bits.
   double PredictedBudgetBits = 0.0;
   /// False when no rung certifies every program: Params is then the top
-  /// rung, and the runtime guard decides whether a result is usable.
+  /// rung, and the runtime guard decides whether a result is usable (a
+  /// program wider than its row does not run at all).
   bool Certified = false;
 };
 
 /// The parameters a session running every program in \p Programs on
-/// \p Backend needs: the cheapest standardParams() rung the noise bound
+/// \p Backend under plaintext modulus \p PlainModulus needs: the cheapest
+/// standardParams() rung that is wide enough and that the noise bound
 /// certifies, else the top rung. No context is built.
 ParameterSelection
 selectParameters(const std::vector<const quill::Program *> &Programs,
-                 const backend::ExecutorBackend &Backend);
+                 const backend::ExecutorBackend &Backend,
+                 uint64_t PlainModulus);
 
 } // namespace porcupine
 

@@ -199,7 +199,7 @@ Compiler::selectFor(const quill::Program &P) const {
   auto B = findBackend("parameters");
   if (!B)
     return B.status();
-  return porcupine::selectParameters({&P}, **B);
+  return porcupine::selectParameters({&P}, **B, Opts.Synthesis.PlainModulus);
 }
 
 Expected<BfvParams>
@@ -233,7 +233,9 @@ Compiler::instantiate(const std::vector<const quill::Program *> &Programs,
 
   backend::SessionSpec Spec;
   Spec.Programs = Programs;
-  Spec.Params = porcupine::selectParameters(Programs, *B).Params;
+  Spec.Params =
+      porcupine::selectParameters(Programs, *B, Opts.Synthesis.PlainModulus)
+          .Params;
   Spec.PlainModulus = Opts.Synthesis.PlainModulus;
   Spec.ExecutionSeed = Opts.ExecutionSeed;
   Spec.Latency = Opts.Synthesis.Latency;
@@ -376,7 +378,14 @@ Status Compiler::analyze(CompileResult &Res) const {
     return Sel.status();
   Res.Params = Sel->Params;
   Res.PredictedBudgetBits = Sel->PredictedBudgetBits;
-  if (!Sel->Certified)
+  const size_t Row = Sel->Params.PolyDegree / 2;
+  if (Res.Program.VectorSize > Row)
+    Res.Notes.push_back(
+        {Severity::Warning, "parameters",
+         "the program is " + std::to_string(Res.Program.VectorSize) +
+             " slots wide, more than any parameter set batches (" +
+             std::to_string(Row) + "); it cannot run encrypted"});
+  else if (!Sel->Certified)
     Res.Notes.push_back(
         {Severity::Warning, "parameters",
          "the noise bound certifies no parameter set (" +

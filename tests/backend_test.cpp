@@ -276,9 +276,11 @@ const backend::ExecutorBackend &bfvBackend() {
   return *backend::BackendRegistry::builtin().find("bfv");
 }
 
-/// The parameters selectParameters() picks for \p Programs on "bfv".
+/// The parameters selectParameters() picks for \p Programs on "bfv" under
+/// the table's plaintext modulus.
 BfvParams selectOnBfv(const std::vector<const Program *> &Programs) {
-  return selectParameters(Programs, bfvBackend()).Params;
+  return selectParameters(Programs, bfvBackend(), BfvParams().PlainModulus)
+      .Params;
 }
 
 /// An add, then \p Depth chained squarings: a program on each rung of the
@@ -331,6 +333,23 @@ TEST(ParameterSelection, BuiltContextHasTheSelectedModulus) {
               BfvContext::maxSecureCoeffBits(Params.PolyDegree))
         << Text;
   }
+}
+
+TEST(ParameterSelection, ALargerPlainModulusPredictsFewerBits) {
+  // The fresh noise and every multiply scale with t, so the session's
+  // plaintext modulus prices the rungs: two squarings keep the margin at
+  // N=4096 under t = 65537 but not under t = 786433.
+  const Program Chain = squaringChain(2);
+  ParameterSelection Small = selectParameters({&Chain}, bfvBackend(), 65537);
+  ParameterSelection Large = selectParameters({&Chain}, bfvBackend(), 786433);
+  EXPECT_EQ(Small.Params.PolyDegree, 4096u);
+  EXPECT_EQ(Large.Params.PolyDegree, 8192u);
+  quill::NoiseParams Noise = bfvBackend().noiseParams(Small.Params);
+  Noise.PlainModulus = 65537;
+  EXPECT_EQ(quill::predictNoiseBudget(Chain, Noise), Small.PredictedBudgetBits);
+  Noise.PlainModulus = 786433;
+  EXPECT_LT(quill::predictNoiseBudget(Chain, Noise),
+            Small.PredictedBudgetBits - 10.0);
 }
 
 /// Bundled-program compiles under the default pipeline on "bfv".

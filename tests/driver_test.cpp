@@ -408,6 +408,36 @@ TEST(CompilerStages, AnUncertifiedProgramCompilesOnTheTopRungWithAWarning) {
   EXPECT_TRUE(Warned);
 }
 
+TEST(CompilerStages, AProgramWiderThanEveryRowCompilesWithAWarning) {
+  // No rung batches 5000 slots: the compile still succeeds, on the top
+  // rung, and its notes say the program cannot run encrypted.
+  constexpr size_t Width = 5000;
+  KernelBundle Wide;
+  Wide.Spec = makeKernelSpec("2x", 1, Width, DataLayout{},
+                             [](const auto &In, auto Konst) {
+                               (void)Konst;
+                               std::decay_t<decltype(In[0])> Out;
+                               for (size_t I = 0; I < Width; ++I)
+                                 Out.push_back(In[0][I] + In[0][I]);
+                               return Out;
+                             });
+  Wide.Synthesized.NumInputs = 1;
+  Wide.Synthesized.VectorSize = Width;
+  Wide.Synthesized.append(quill::Instr::ctCt(quill::Opcode::AddCtCt, 0, 0));
+  CompileOptions Opts;
+  Opts.RunSynthesis = false;
+  Compiler C(Opts);
+  auto R = C.compile(Wide);
+  ASSERT_TRUE(R.hasValue()) << R.status().toString();
+  EXPECT_EQ(R->Params.PolyDegree, 8192u);
+  bool Warned = false;
+  for (const Diagnostic &D : R->Notes)
+    Warned |= D.Sev == Severity::Warning && D.Stage == "parameters" &&
+              D.Message.find("5000 slots wide") != std::string::npos;
+  EXPECT_TRUE(Warned);
+  EXPECT_FALSE(C.instantiate({&R->Program}).hasValue());
+}
+
 TEST(CompilerStages, VerifyReportsInequivalenceAsSuccess) {
   // sub(c0, c1) is NOT the add spec; that is a successful verify() call
   // with Equivalent == false and a counterexample — not an error.

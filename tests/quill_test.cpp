@@ -108,7 +108,7 @@ TEST(Interpreter, FullVectorConstantReadsZeroPastItsValues) {
   ASSERT_NE(Dry, nullptr);
   backend::SessionSpec Spec;
   Spec.Programs = {&Half};
-  Spec.Params = selectParameters(Spec.Programs, *Dry).Params;
+  Spec.Params = selectParameters(Spec.Programs, *Dry, T).Params;
   Spec.PlainModulus = T;
   auto Exec = Dry->createExecutor(Spec);
   ASSERT_TRUE(Exec.hasValue()) << Exec.status().toString();

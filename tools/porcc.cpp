@@ -689,7 +689,7 @@ int cmdRun(int Argc, char **Argv) {
   if (!RT)
     return fail(RT.status());
   double Predicted =
-      selectParameters({&*P}, RT->backendInfo()).PredictedBudgetBits;
+      selectParameters({&*P}, RT->backendInfo(), T).PredictedBudgetBits;
   for (const auto &Call : *Calls) {
     auto Out = RT->execute(*P, Call, P->VectorSize);
     if (!Out)
