@@ -6,10 +6,11 @@
 ///
 /// \file
 /// The default ExecutorBackend ("bfv"): real encrypted execution on the
-/// in-tree RNS BFV runtime, wrapping backend/BfvExecutor bit-for-bit. Each
-/// session owns a context (or reuses a prior session's via
-/// SessionSpec::Reuse), fresh keys seeded from ExecutionSeed, and Galois
-/// keys for exactly the program set's rotations.
+/// in-tree RNS BFV runtime, wrapping backend/BfvExecutor bit-for-bit. The
+/// backend builds one BfvContext per parameter set and shares it with
+/// every session on that set; each session has fresh keys seeded from
+/// ExecutionSeed, with Galois keys for exactly the program set's
+/// rotations.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -17,6 +18,8 @@
 #define PORCUPINE_BACKEND_BFVBACKEND_H
 
 #include "backend/ExecutorBackend.h"
+
+#include <tuple>
 
 namespace porcupine {
 namespace backend {
@@ -29,6 +32,13 @@ public:
   }
   Expected<std::unique_ptr<Executor>>
   createExecutor(const SessionSpec &Spec) const override;
+
+private:
+  /// N, t, the coefficient prime sizes and the digit width: everything a
+  /// BfvContext is built from.
+  using ContextKey =
+      std::tuple<size_t, uint64_t, std::vector<unsigned>, unsigned>;
+  mutable SharedPerParams<ContextKey, BfvContext> Contexts;
 };
 
 } // namespace backend

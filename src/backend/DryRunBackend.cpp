@@ -14,35 +14,29 @@ using namespace porcupine::quill;
 
 namespace {
 
-/// The shareable session state: the row geometry and modulus a pooled
-/// runtime set agrees on. Immutable, so reuse across threads is free.
-struct DryRunState {
-  size_t Row = 0;        ///< Batching-row width (N/2 of the matching BFV
-                         ///< parameters — rotation semantics match BFV).
-  size_t PolyDegree = 0; ///< The N those parameters would use.
-  uint64_t T = 65537;    ///< Plaintext modulus.
-};
-
 class DryRunSession : public Executor {
 public:
-  DryRunSession(std::shared_ptr<const DryRunState> State,
-                const quill::LatencyTable &Latency)
-      : State(std::move(State)), Cost(Latency) {}
+  DryRunSession(const BfvParams &Params, const quill::LatencyTable &Latency)
+      : Row(Params.PolyDegree / 2), PolyDegree(Params.PolyDegree),
+        T(Params.PlainModulus), Cost(Latency) {}
 
   Expected<Value> encrypt(const std::vector<uint64_t> &Values) const override {
     // Mirror BFV exactly: reduce mod t and occupy row-0 slots [0, size),
     // zeros beyond — so rotations that cross the input boundary bring in
     // the same zeros a ciphertext row holds.
-    SlotVector Row(State->Row, 0);
+    SlotVector Slots(Row, 0);
     for (size_t I = 0; I < Values.size(); ++I)
-      Row[I] = Values[I] % State->T;
-    return Value::wrap(std::move(Row));
+      Slots[I] = Values[I] % T;
+    return Value::wrap(std::move(Slots));
   }
 
-  Expected<Value> run(const quill::Program &P,
-                      const std::vector<Value> &Inputs) const override {
-    auto Values = interpretAll(P, rows(Inputs), State->T);
+  Expected<Value> run(const quill::Program &P, const std::vector<Value> &Inputs,
+                      const InstrHook &AfterInstr) const override {
+    auto Values = interpretAll(P, rows(Inputs), T);
     ChargedUs += Cost.latency(P);
+    if (AfterInstr)
+      for (size_t V = P.NumInputs; V < Values.size(); ++V)
+        AfterInstr(Value::wrap(Values[V]));
     return Value::wrap(std::move(Values[P.outputId()]));
   }
 
@@ -54,29 +48,15 @@ public:
 
   double noiseBudget(const Value &) const override { return 0.0; }
 
-  Expected<std::vector<std::vector<uint64_t>>>
-  runWithTrace(const quill::Program &P, const std::vector<Value> &Inputs,
-               size_t TraceWidth) const override {
-    auto Values = interpretAll(P, rows(Inputs), State->T);
-    std::vector<std::vector<uint64_t>> Trace(
-        Values.begin() + P.NumInputs, Values.end());
-    for (SlotVector &Snap : Trace)
-      Snap.resize(TraceWidth);
-    ChargedUs += Cost.latency(P);
-    return Trace;
-  }
-
-  size_t slotCount() const override { return State->Row; }
-  size_t polyDegree() const override { return State->PolyDegree; }
-  uint64_t plainModulus() const override { return State->T; }
-
-  std::shared_ptr<const void> sharedState() const override { return State; }
+  size_t slotCount() const override { return Row; }
+  size_t polyDegree() const override { return PolyDegree; }
+  uint64_t plainModulus() const override { return T; }
 
   double chargedLatencyUs() const override { return ChargedUs; }
 
 private:
-  /// The session values' slot rows. Each is State->Row wide, so the
-  /// interpreter wraps rotations at the batching row, as BFV does.
+  /// The session values' slot rows. Each is Row wide, so the interpreter
+  /// wraps rotations at the batching row, as BFV does.
   static std::vector<SlotVector> rows(const std::vector<Value> &Inputs) {
     std::vector<SlotVector> Rows;
     Rows.reserve(Inputs.size());
@@ -85,7 +65,11 @@ private:
     return Rows;
   }
 
-  std::shared_ptr<const DryRunState> State;
+  /// The row geometry and modulus of the selected BFV parameters, so
+  /// rotation wrap-around is byte-identical to encrypted execution.
+  size_t Row;        ///< Batching-row width, N/2.
+  size_t PolyDegree; ///< The N those parameters use.
+  uint64_t T;        ///< Plaintext modulus.
   quill::CostModel Cost;
   mutable double ChargedUs = 0.0;
 };
@@ -94,29 +78,17 @@ private:
 
 Expected<std::unique_ptr<Executor>>
 DryRunBackend::createExecutor(const SessionSpec &Spec) const {
-  std::shared_ptr<const DryRunState> State;
-  if (Spec.Reuse) {
-    State = std::static_pointer_cast<const DryRunState>(Spec.Reuse);
-  } else {
-    // Adopt the row geometry of the selected BFV parameters so rotation
-    // wrap-around is byte-identical to encrypted execution.
-    auto S = std::make_shared<DryRunState>();
-    S->Row = Spec.Params.PolyDegree / 2;
-    S->PolyDegree = Spec.Params.PolyDegree;
-    S->T = Spec.PlainModulus;
-    State = std::move(S);
-  }
-
-  if (State->T < 2)
+  if (Spec.Params.PlainModulus < 2)
     return Status::error("execute", "dry-run execution needs a plaintext "
                                     "modulus of at least 2");
+  const size_t Row = Spec.Params.PolyDegree / 2;
   for (const quill::Program *P : Spec.Programs)
-    if (P->VectorSize > State->Row)
+    if (P->VectorSize > Row)
       return Status::error(
           "execute", "program is " + std::to_string(P->VectorSize) +
                          " slots wide but the context batches only " +
-                         std::to_string(State->Row));
+                         std::to_string(Row));
 
   return std::unique_ptr<Executor>(
-      new DryRunSession(std::move(State), Spec.Latency));
+      new DryRunSession(Spec.Params, Spec.Latency));
 }

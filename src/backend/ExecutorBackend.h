@@ -18,9 +18,12 @@
 ///   - `ExecutorBackend` is the registered factory/descriptor: a name (the
 ///     `CompileOptions::Backend` key), capability bits, how it builds a
 ///     parameter set (what the noise bound prices), and
-///     `createExecutor()`.
+///     `createExecutor()`. It owns what it builds per parameter set (a
+///     BFV context, a SEALContext): one immutable copy, shared by every
+///     session built from the same parameters.
 ///   - `Executor` is one instantiated session for a fixed program set:
-///     encrypt/run/decrypt/noiseBudget/trace over opaque `Value` handles.
+///     encrypt/run/decrypt/noiseBudget over opaque `Value` handles, with an
+///     optional hook on every instruction of a run.
 ///
 /// Values are deliberately type-erased (`backend::Value`): a BFV session
 /// hands out real ciphertexts, the dry-run session hands out slot vectors,
@@ -40,7 +43,10 @@
 #include "support/Status.h"
 
 #include <cassert>
+#include <functional>
+#include <map>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -108,22 +114,41 @@ struct SessionSpec {
   /// exactly this set's rotations).
   std::vector<const quill::Program *> Programs;
   /// The encryption parameters to build, as selectParameters() chose them
-  /// for Programs. Backends read the ring and modulus from here and decide
-  /// nothing themselves; the dry-run backend takes its row geometry (N/2)
-  /// from PolyDegree.
+  /// for Programs, including the plaintext modulus the programs were
+  /// compiled under. Backends read the ring and both moduli from here and
+  /// decide nothing themselves; the dry-run backend takes its row geometry
+  /// (N/2) from PolyDegree.
   BfvParams Params;
-  /// Plaintext modulus the programs were compiled/verified under.
-  uint64_t PlainModulus = 65537;
   /// Seed for execution-side randomness (keys, encryption noise).
   uint64_t ExecutionSeed = 1;
   /// The latency table the programs were compiled under; the dry-run
   /// backend charges its runs with it.
   quill::LatencyTable Latency;
-  /// Opaque sharedState() of a previous session of the same backend built
-  /// from the same Params; backends reuse the immutable, thread-safe part
-  /// of it (the BFV context's CRT bases and NTT tables) instead of
-  /// rebuilding, and then ignore Params.
-  std::shared_ptr<const void> Reuse;
+};
+
+/// The immutable state a backend builds per parameter set (a BFV context,
+/// a SEALContext), shared by every session whose parameters map to the
+/// same \p Key. A state is built on first use under the lock and held
+/// weakly: it lives as long as some session holds it.
+template <class Key, class State> class SharedPerParams {
+public:
+  /// The live state for \p K, else the one \p Build returns, registered.
+  template <class BuildFn>
+  std::shared_ptr<const State> get(const Key &K, BuildFn Build) {
+    std::lock_guard<std::mutex> L(M);
+    if (std::shared_ptr<const State> Live = Cache[K].lock())
+      return Live;
+    // Forget the states no session holds any more before adding one.
+    for (auto It = Cache.begin(); It != Cache.end();)
+      It = It->second.expired() ? Cache.erase(It) : std::next(It);
+    std::shared_ptr<const State> Built = Build();
+    Cache[K] = Built;
+    return Built;
+  }
+
+private:
+  std::mutex M;
+  std::map<Key, std::weak_ptr<const State>> Cache;
 };
 
 /// One instantiated execution session: keys (if any) and evaluation state
@@ -137,9 +162,15 @@ public:
   /// most slotCount() values, placed in batching row 0.
   virtual Expected<Value> encrypt(const std::vector<uint64_t> &Values) const = 0;
 
-  /// Runs \p P over session values, returning the result value.
+  /// Called after each instruction of run() with the value it produced;
+  /// the slot traces of differential tests decrypt it.
+  using InstrHook = std::function<void(const Value &)>;
+
+  /// Runs \p P over session values, returning the result value, and calls
+  /// \p AfterInstr (when set) after every instruction.
   virtual Expected<Value> run(const quill::Program &P,
-                              const std::vector<Value> &Inputs) const = 0;
+                              const std::vector<Value> &Inputs,
+                              const InstrHook &AfterInstr = nullptr) const = 0;
 
   /// Decrypts (or unwraps) a result and returns the first \p Width slots.
   virtual std::vector<uint64_t> decrypt(const Value &V, size_t Width) const = 0;
@@ -148,23 +179,12 @@ public:
   /// capabilities say Encrypted is false.
   virtual double noiseBudget(const Value &V) const = 0;
 
-  /// Runs \p P recording the decrypted slot state (first \p TraceWidth
-  /// slots) after every instruction; index k holds value NumInputs+k.
-  virtual Expected<std::vector<std::vector<uint64_t>>>
-  runWithTrace(const quill::Program &P, const std::vector<Value> &Inputs,
-               size_t TraceWidth) const = 0;
-
   /// Width of one batching row in this session.
   virtual size_t slotCount() const = 0;
   /// Ring dimension (0 when the backend has no polynomial ring).
   virtual size_t polyDegree() const = 0;
   /// Plaintext modulus arithmetic is performed under.
   virtual uint64_t plainModulus() const = 0;
-
-  /// The immutable, shareable part of this session's state (never the
-  /// keys). Feed it to SessionSpec::Reuse to build further sessions from
-  /// the same Params cheaply — how the Engine's runtime pools scale.
-  virtual std::shared_ptr<const void> sharedState() const = 0;
 
   /// Cumulative cost-model latency (µs) this session has charged for its
   /// runs. Real backends spend wall-clock instead and report 0; the
@@ -175,8 +195,9 @@ public:
 };
 
 /// A registered execution backend: naming, capabilities, and the session
-/// factory. Implementations are stateless and immutable after
-/// registration (they are shared across threads freely).
+/// factory. Implementations are shared across threads freely: the only
+/// state they keep is what they build per parameter set, behind a
+/// SharedPerParams lock.
 class ExecutorBackend {
 public:
   virtual ~ExecutorBackend() = default;
@@ -198,13 +219,11 @@ public:
   /// plaintext modulus with the session's.
   virtual quill::NoiseParams noiseParams(const BfvParams &Params) const;
 
-  /// Whether the backend can actually run in this process (a backend may
-  /// be compiled in but lack a runtime dependency).
-  virtual bool available() const { return true; }
-
-  /// Instantiates one execution session. Anything the caller can get wrong
-  /// (unsupported modulus, program wider than a batching row) returns a
-  /// failed Expected with stage "execute".
+  /// Instantiates one execution session over the backend's shared state
+  /// for Spec.Params, building it if no live session holds it; keys are
+  /// the session's own. Anything the caller can get wrong (unsupported
+  /// modulus, program wider than a batching row) returns a failed Expected
+  /// with stage "execute".
   virtual Expected<std::unique_ptr<Executor>>
   createExecutor(const SessionSpec &Spec) const = 0;
 };

@@ -49,6 +49,7 @@ ParameterSelection porcupine::selectParameters(
     for (const quill::Program *P : Programs)
       Budget = std::min(Budget, quill::predictNoiseBudget(*P, Noise));
     Sel.Params = Table[I];
+    Sel.Params.PlainModulus = PlainModulus;
     Sel.PredictedBudgetBits = Budget;
     // A rung whose batching row is narrower than a program cannot run it.
     Sel.Certified = Table[I].PolyDegree / 2 >= Width &&

@@ -41,7 +41,8 @@ constexpr double NoiseMarginBits = 2.0;
 
 /// What selectParameters() decides for a program set.
 struct ParameterSelection {
-  /// The parameters to build.
+  /// The parameters to build: a standardParams() rung carrying the
+  /// session's plaintext modulus.
   BfvParams Params;
   /// The smallest predicted final noise budget over the programs at
   /// Params, in bits.

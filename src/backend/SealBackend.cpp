@@ -18,15 +18,14 @@ using namespace porcupine;
 using namespace porcupine::backend;
 using namespace porcupine::quill;
 
-namespace {
-
 /// The immutable, shareable half of a SEAL session (everything but keys).
-struct SealState {
-  seal::EncryptionParameters Parms;
+struct porcupine::backend::SealState {
   std::unique_ptr<seal::SEALContext> Ctx;
   size_t PolyDegree = 0;
   uint64_t T = 0;
 };
+
+namespace {
 
 class SealSession : public Executor {
 public:
@@ -56,8 +55,8 @@ public:
     return Value::wrap(std::move(Ct));
   }
 
-  Expected<Value> run(const Program &P,
-                      const std::vector<Value> &Inputs) const override {
+  Expected<Value> run(const Program &P, const std::vector<Value> &Inputs,
+                      const InstrHook &AfterInstr) const override {
     std::vector<seal::Ciphertext> Values;
     Values.reserve(P.numValues());
     for (const Value &V : Inputs)
@@ -66,8 +65,11 @@ public:
     Consts.reserve(P.Constants.size());
     for (const PlainConstant &C : P.Constants)
       Consts.push_back(encodeConstant(C));
-    for (const Instr &I : P.Instructions)
+    for (const Instr &I : P.Instructions) {
       Values.push_back(execInstr(I, P.ExplicitRelin, Values, Consts));
+      if (AfterInstr)
+        AfterInstr(Value::wrap(Values.back()));
+    }
     return Value::wrap(std::move(Values[P.outputId()]));
   }
 
@@ -84,28 +86,9 @@ public:
     return Dec->invariant_noise_budget(V.get<seal::Ciphertext>());
   }
 
-  Expected<std::vector<std::vector<uint64_t>>>
-  runWithTrace(const Program &P, const std::vector<Value> &Inputs,
-               size_t TraceWidth) const override {
-    std::vector<seal::Ciphertext> Values;
-    for (const Value &V : Inputs)
-      Values.push_back(V.get<seal::Ciphertext>());
-    std::vector<seal::Plaintext> Consts;
-    for (const PlainConstant &C : P.Constants)
-      Consts.push_back(encodeConstant(C));
-    std::vector<std::vector<uint64_t>> Trace;
-    for (const Instr &I : P.Instructions) {
-      Values.push_back(execInstr(I, P.ExplicitRelin, Values, Consts));
-      Trace.push_back(decrypt(Value::wrap(Values.back()), TraceWidth));
-    }
-    return Trace;
-  }
-
   size_t slotCount() const override { return Encoder.slot_count() / 2; }
   size_t polyDegree() const override { return State->PolyDegree; }
   uint64_t plainModulus() const override { return State->T; }
-
-  std::shared_ptr<const void> sharedState() const override { return State; }
 
 private:
   std::shared_ptr<const SealState> State;
@@ -200,35 +183,31 @@ quill::NoiseParams SealBackend::noiseParams(const BfvParams &Params) const {
 
 Expected<std::unique_ptr<Executor>>
 SealBackend::createExecutor(const SessionSpec &Spec) const {
-  std::shared_ptr<const SealState> State;
-  if (Spec.Reuse) {
-    State = std::static_pointer_cast<const SealState>(Spec.Reuse);
-  } else {
-    // Build the selected ring degree so "bfv" and "seal" agree on the
-    // batching-row geometry for a given program set. SEAL keeps its own
-    // default coefficient modulus for that degree.
-    const size_t N = Spec.Params.PolyDegree;
+  // Build the selected ring degree so "bfv" and "seal" agree on the
+  // batching-row geometry for a given program set. SEAL keeps its own
+  // default coefficient modulus for that degree.
+  const size_t N = Spec.Params.PolyDegree;
+  const uint64_t T = Spec.Params.PlainModulus;
+  std::shared_ptr<const SealState> State = Contexts.get({N, T}, [&] {
     seal::EncryptionParameters Parms(seal::scheme_type::bfv);
     Parms.set_poly_modulus_degree(N);
     Parms.set_coeff_modulus(seal::CoeffModulus::BFVDefault(N));
-    Parms.set_plain_modulus(Spec.PlainModulus);
+    Parms.set_plain_modulus(T);
     auto S = std::make_shared<SealState>();
-    S->Parms = Parms;
     S->Ctx = std::make_unique<seal::SEALContext>(Parms);
     S->PolyDegree = N;
-    S->T = Spec.PlainModulus;
-    if (!S->Ctx->key_context_data() ||
-        !S->Ctx->key_context_data()->qualifiers().using_batching)
-      return Status::error(
-          "execute",
-          "SEAL rejected plaintext modulus " +
-              std::to_string(Spec.PlainModulus) + " at N=" +
-              std::to_string(N) +
-              " (batching unavailable); run with the default modulus");
-    State = std::move(S);
-  }
+    S->T = T;
+    return S;
+  });
+  if (!State->Ctx->key_context_data() ||
+      !State->Ctx->key_context_data()->qualifiers().using_batching)
+    return Status::error("execute", "SEAL rejected plaintext modulus " +
+                                        std::to_string(T) + " at N=" +
+                                        std::to_string(N) +
+                                        " (batching unavailable); run with "
+                                        "the default modulus");
 
-  size_t Row = State->PolyDegree / 2;
+  size_t Row = N / 2;
   for (const Program *P : Spec.Programs)
     if (P->VectorSize > Row)
       return Status::error(

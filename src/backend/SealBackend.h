@@ -25,8 +25,12 @@
 
 #include "backend/ExecutorBackend.h"
 
+#include <utility>
+
 namespace porcupine {
 namespace backend {
+
+struct SealState;
 
 class SealBackend : public ExecutorBackend {
 public:
@@ -37,6 +41,10 @@ public:
   quill::NoiseParams noiseParams(const BfvParams &Params) const override;
   Expected<std::unique_ptr<Executor>>
   createExecutor(const SessionSpec &Spec) const override;
+
+private:
+  /// One SEALContext per (N, t), shared by every session built on it.
+  mutable SharedPerParams<std::pair<size_t, uint64_t>, SealState> Contexts;
 };
 
 } // namespace backend

@@ -10,10 +10,17 @@
 #include "math/Primes.h"
 #include "support/Error.h"
 
+#include <atomic>
 #include <cassert>
 #include <utility>
 
 using namespace porcupine;
+
+static std::atomic<uint64_t> ContextInstances{0};
+
+uint64_t BfvContext::instancesCreated() {
+  return ContextInstances.load(std::memory_order_relaxed);
+}
 
 std::vector<uint64_t> BfvContext::coeffPrimes(const BfvParams &Params) {
   std::vector<uint64_t> Primes;
@@ -77,6 +84,7 @@ BfvContext::BfvContext(const BfvParams &Params)
       AuxScaleToCoeff(AuxBasis, CoeffBasis, Params.PlainModulus),
       CoeffToPlain(CoeffBasis, PlainBasis),
       Width(Params.DecompWidth) {
+  ContextInstances.fetch_add(1, std::memory_order_relaxed);
   assert((N & (N - 1)) == 0 && N >= 8 && "poly degree must be a power of two");
   if (!isPrime(T) || (T - 1) % (2 * N) != 0)
     fatalError("plain modulus must be a prime = 1 mod 2N for batching");

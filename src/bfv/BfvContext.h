@@ -152,6 +152,10 @@ public:
   /// (HomomorphicEncryption.org standard table); 0 if N is non-standard.
   static unsigned maxSecureCoeffBits(size_t PolyDegree);
 
+  /// Contexts constructed so far in this process; tests count them to
+  /// check that sessions on one parameter set share one context.
+  static uint64_t instancesCreated();
+
 private:
   size_t N;
   uint64_t T;

@@ -210,9 +210,8 @@ Compiler::selectParameters(const quill::Program &P) const {
   return Sel->Params;
 }
 
-Expected<Runtime>
-Compiler::instantiate(const std::vector<const quill::Program *> &Programs,
-                      std::shared_ptr<const void> Reuse) const {
+Expected<Runtime> Compiler::instantiate(
+    const std::vector<const quill::Program *> &Programs) const {
   if (Programs.empty())
     return Status::error("execute", "instantiate() needs at least one program");
   for (const quill::Program *P : Programs) {
@@ -227,19 +226,14 @@ Compiler::instantiate(const std::vector<const quill::Program *> &Programs,
   if (!Found)
     return Found.status();
   const backend::ExecutorBackend *B = *Found;
-  if (!B->available())
-    return Status::error("execute", "execution backend '" + Opts.Backend +
-                                        "' is not available in this build");
 
   backend::SessionSpec Spec;
   Spec.Programs = Programs;
   Spec.Params =
       porcupine::selectParameters(Programs, *B, Opts.Synthesis.PlainModulus)
           .Params;
-  Spec.PlainModulus = Opts.Synthesis.PlainModulus;
   Spec.ExecutionSeed = Opts.ExecutionSeed;
   Spec.Latency = Opts.Synthesis.Latency;
-  Spec.Reuse = std::move(Reuse);
   auto Exec = B->createExecutor(Spec);
   if (!Exec)
     return Exec.status();

@@ -235,12 +235,13 @@ Status checkInputs(int NumInputs, size_t MaxWidth,
                    const std::vector<std::vector<uint64_t>> &Inputs);
 
 /// A ready-to-run execution environment for a fixed set of programs on one
-/// backend: owns the backend session (context, keys — whatever the backend
-/// needs, built from the parameters selectParameters() picks for the set,
-/// with Galois keys for exactly the rotations the set requires). Produced
-/// by Compiler::instantiate(); movable, not copyable. Values are opaque
-/// backend::Value handles — real ciphertexts on "bfv"/"seal", slot vectors
-/// on "dryrun" — and callers cannot (and must not) tell the difference.
+/// backend: owns the backend session (its keys, with Galois keys for
+/// exactly the rotations the set requires) over the context the backend
+/// shares for the parameters selectParameters() picks for the set.
+/// Produced by Compiler::instantiate(); movable, not copyable. Values are
+/// opaque backend::Value handles — real ciphertexts on "bfv"/"seal", slot
+/// vectors on "dryrun" — and callers cannot (and must not) tell the
+/// difference.
 class Runtime {
 public:
   Runtime(Runtime &&) = default;
@@ -288,16 +289,6 @@ public:
   size_t polyDegree() const { return Exec->polyDegree(); }
   uint64_t plainModulus() const { return Exec->plainModulus(); }
 
-  /// The immutable state backing this runtime (the BFV context's CRT
-  /// bases and NTT tables — never keys). Hand it to
-  /// Compiler::instantiate() to build further runtimes for the same
-  /// program set without paying that construction again — this is how the
-  /// Engine's runtime pools scale. Opaque: only meaningful to the same
-  /// backend that produced it.
-  std::shared_ptr<const void> sharedState() const {
-    return Exec->sharedState();
-  }
-
 private:
   friend class Compiler;
   Runtime() = default;
@@ -327,8 +318,9 @@ public:
   // Whole pipeline
   //===--------------------------------------------------------------------===
 
-  /// Looks \p KernelName up in the registry (exact-then-prefix) and
-  /// compiles the bundle.
+  /// Looks \p KernelName up in the registry (exact, then unique prefix,
+  /// then unique substring; kernels::KernelRegistry::find) and compiles
+  /// the bundle.
   Expected<CompileResult> compile(const std::string &KernelName) const;
 
   /// Compiles a bundle: synthesize (or take the bundled program), the
@@ -376,15 +368,12 @@ public:
 
   /// Builds an execution environment for \p Programs on the options'
   /// backend (Opts.Backend), handing it the parameters
-  /// porcupine::selectParameters() picks for the set on that backend.
-  /// \p Reuse, when given, must be the sharedState() of a runtime
-  /// instantiated *on the same backend* from the same parameters (keys
-  /// are still generated fresh; only the immutable state is shared —
-  /// trivially true when reusing within one program set, as the Engine's
-  /// runtime pools do).
+  /// porcupine::selectParameters() picks for the set on that backend under
+  /// the options' plaintext modulus. Keys are generated fresh; the backend
+  /// shares its immutable per-parameter state (the BFV context) with
+  /// every live runtime on the same parameters.
   Expected<Runtime>
-  instantiate(const std::vector<const quill::Program *> &Programs,
-              std::shared_ptr<const void> Reuse = nullptr) const;
+  instantiate(const std::vector<const quill::Program *> &Programs) const;
 
   /// One-shot end-to-end run of \p P on \p Inputs (one vector per program
   /// input, each at most VectorSize wide; values taken mod the plaintext

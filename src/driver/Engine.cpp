@@ -9,14 +9,17 @@
 //   CacheMutex    guards the LRU list, the key map, and the counters.
 //   Slot::M       guards one entry's state transition Compiling ->
 //                 Ready/Failed; waiters block on Slot::CV.
-//   PoolMutex     (per CompiledKernel) guards the idle-runtime vector and
-//                 the shared context. (KernelRegistry lookups are
-//                 internally thread-safe; no Engine lock is involved.)
+//   PoolMutex     (per CompiledKernel) guards the idle-runtime vector.
+//                 (KernelRegistry lookups and the backends' context
+//                 caches are internally thread-safe; no Engine lock is
+//                 involved.)
 //
 // No thread ever holds two of these at once except eviction, which takes
 // Slot::M briefly while holding CacheMutex; since no path acquires
 // CacheMutex while holding Slot::M, that nesting cannot deadlock. Compiles
-// and Runtime construction always happen outside every lock.
+// and Runtime construction always happen outside every lock here; a
+// backend builds a context under its own cache lock, which no thread
+// holds while taking one of these.
 //
 //===----------------------------------------------------------------------===//
 
@@ -57,13 +60,11 @@ Expected<CompiledKernel::RuntimeLease> CompiledKernel::acquireRuntime() const {
     if (Built < PoolSize) {
       // Reserve a pool slot, then build outside the lock: key generation
       // is the expensive part and must not serialize callers that only
-      // need an already-idle runtime. The first runtime's immutable
-      // context is reused by every later one (same program, same depth).
+      // need an already-idle runtime. The backend shares the context of
+      // every live runtime on the same parameters.
       ++Built;
-      std::shared_ptr<const void> Reuse = SharedState;
       L.unlock();
-      Compiler C(Opts);
-      auto RT = C.instantiate({&Result.Program}, std::move(Reuse));
+      auto RT = Compiler(Opts).instantiate({&Result.Program});
       if (!RT) {
         L.lock();
         --Built;
@@ -74,10 +75,6 @@ Expected<CompiledKernel::RuntimeLease> CompiledKernel::acquireRuntime() const {
         PoolAvailable.notify_one();
         return RT.status();
       }
-      L.lock();
-      if (!SharedState)
-        SharedState = RT->sharedState();
-      L.unlock();
       return RuntimeLease(this,
                           std::make_unique<Runtime>(std::move(RT.take())));
     }

@@ -32,8 +32,10 @@
 ///
 /// CompiledKernel handles stay valid after eviction (shared ownership) and
 /// are safe to call from many threads at once: encrypted execution draws
-/// from a small pool of reusable Runtimes (context + keys built once,
-/// lazily, per kernel), each checked out by one thread at a time.
+/// from a small pool of reusable Runtimes (keys built lazily, once per
+/// pool slot), each checked out by one thread at a time. The backend
+/// builds one context per parameter set and shares it across pool slots,
+/// kernels, Engines and tenants.
 ///
 /// Engines warm-start from disk via kernel artifacts (driver/Artifact.h):
 /// saveArtifact() persists a compiled kernel as versioned JSON wrapping the
@@ -113,7 +115,8 @@ public:
 
   /// The batching-row width (slotCount(), N/2 on "bfv") of the runtime
   /// this kernel executes on. Leases a pooled runtime, so the first call
-  /// builds it (context and keys); fails when it cannot be built.
+  /// builds it (its keys, and the context when no live runtime shares
+  /// one); fails when it cannot be built.
   Expected<size_t> packedRowWidth() const;
 
   /// Upper bound on concurrently checked-out Runtimes (pool capacity).
@@ -161,11 +164,6 @@ private:
   mutable std::condition_variable PoolAvailable;
   mutable std::vector<std::unique_ptr<Runtime>> Idle;
   mutable size_t Built = 0; ///< Lifetime count, built or building.
-  /// The first runtime's immutable shared state (backend-opaque — the BFV
-  /// context's CRT bases and NTT tables on "bfv"), reused by every later
-  /// pool runtime (keys are still per-runtime): that construction is paid
-  /// once per kernel, not once per pool slot.
-  mutable std::shared_ptr<const void> SharedState;
 };
 
 /// Counters the Engine keeps (monotonic since construction or clear()).

@@ -21,9 +21,10 @@
 ///     requests for the same (tenant, kernel) before issuing a single
 ///     encrypted execution, with a flush timer so a lone request still
 ///     ships within ServerOptions::FlushMicros;
-///   * per-tenant key/context isolation: every tenant executes under a
+///   * per-tenant key isolation: every tenant executes under a
 ///     tenant-derived ExecutionSeed, giving it its own BFV keys and its
-///     own Engine cache entries, behind an LRU TenantContextCache;
+///     own Engine cache entries, behind an LRU TenantContextCache (the
+///     BFV context of a parameter set is the backend's, shared by all);
 ///   * Prometheus-text metrics (metricsText()): queue depth, admission
 ///     rejects by reason, batch fill factor, per-kernel p50/p95/p99.
 ///

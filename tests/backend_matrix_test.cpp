@@ -12,9 +12,8 @@
 /// static noise bound's prediction, the keyless dry-run backend must serve
 /// Engine and Server traffic without constructing a single KeyGenerator,
 /// and the backend name must be part of the compile fingerprint (so the
-/// Engine cache never mixes backends). The deprecated bool-flag execute()
-/// shim completed its one-release deprecation window and was removed;
-/// select a backend via CompileOptions::Backend instead.
+/// Engine cache never mixes backends). Backends are selected by
+/// CompileOptions::Backend.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -39,17 +38,6 @@ using namespace porcupine;
 using namespace porcupine::driver;
 
 namespace {
-
-/// Backends that can actually run in this process (a backend may be
-/// registered but lack its runtime dependency).
-std::vector<std::string> availableBackends() {
-  const auto &Reg = backend::BackendRegistry::builtin();
-  std::vector<std::string> Names;
-  for (const std::string &Name : Reg.names())
-    if (Reg.find(Name)->available())
-      Names.push_back(Name);
-  return Names;
-}
 
 /// Bundled-program compiles on \p Backend: deterministic, no CEGIS.
 CompileOptions backendOptions(const std::string &Backend) {
@@ -110,7 +98,8 @@ TEST(BackendRegistry, BundlesBfvAndDryRunAndRejectsUnknownNames) {
 TEST(BackendMatrix, EveryBundledKernelIsByteEqualAcrossBackends) {
   // The differential oracle of this suite: one compiled program, every
   // available backend, byte-equal outputs.
-  std::vector<std::string> Backends = availableBackends();
+  std::vector<std::string> Backends =
+      backend::BackendRegistry::builtin().names();
   ASSERT_GE(Backends.size(), 2u);
 
   Compiler Names;
@@ -146,7 +135,7 @@ TEST(BackendMatrix, EveryRuntimeBuildsTheSelectedParameters) {
   for (int Depth = 0; Depth <= 6; ++Depth)
     Chains.push_back(squaringChain(Depth));
 
-  for (const std::string &B : availableBackends()) {
+  for (const std::string &B : backend::BackendRegistry::builtin().names()) {
     Compiler C(backendOptions(B));
     auto Check = [&](const quill::Program &P, size_t Reported,
                      const std::string &What) {
@@ -186,7 +175,7 @@ TEST(BackendMatrix, PredictedBudgetIsAtMostTheMeasuredOne) {
   const uint64_t Seed = testSeed(41);
   SeedReporter Report(Seed);
   Rng R(Seed);
-  for (const std::string &Name : availableBackends()) {
+  for (const std::string &Name : backend::BackendRegistry::builtin().names()) {
     const backend::ExecutorBackend &B =
         *backend::BackendRegistry::builtin().find(Name);
     if (!B.capabilities().Encrypted)
@@ -217,7 +206,7 @@ TEST(BackendMatrix, PredictedBudgetIsAtMostTheMeasuredOne) {
         std::vector<backend::Value> In;
         std::vector<std::vector<uint64_t>> Plain;
         for (int I = 0; I < P.NumInputs; ++I) {
-          Plain.push_back(R.vectorBelow(Spec.PlainModulus, P.VectorSize));
+          Plain.push_back(R.vectorBelow(Rung.PlainModulus, P.VectorSize));
           Plain.back().resize(Row, 0);
           auto Ct = (*Exec)->encrypt(Plain.back());
           ASSERT_TRUE(Ct.hasValue()) << Ct.status().toString();
@@ -239,7 +228,7 @@ TEST(BackendMatrix, PredictedBudgetIsAtMostTheMeasuredOne) {
         RowWide.VectorSize = Row;
         if (Predicted >= NoiseGuardBits)
           EXPECT_EQ((*Exec)->decrypt(*Out, Row),
-                    quill::interpret(RowWide, Plain, Spec.PlainModulus))
+                    quill::interpret(RowWide, Plain, Rung.PlainModulus))
               << What;
       }
     }
@@ -253,7 +242,7 @@ TEST(BackendMatrix, TracesAreSlotEqualAcrossBackends) {
   // the dry-run interpreter wraps rotations at the batching row exactly
   // like BFV slot rotation does.
   std::vector<std::vector<std::vector<uint64_t>>> Traces;
-  for (const std::string &B : availableBackends()) {
+  for (const std::string &B : backend::BackendRegistry::builtin().names()) {
     Compiler C(backendOptions(B));
     auto R = C.compile("Gx");
     ASSERT_TRUE(R.hasValue()) << R.status().toString();
@@ -265,11 +254,15 @@ TEST(BackendMatrix, TracesAreSlotEqualAcrossBackends) {
       ASSERT_TRUE(Ct.hasValue()) << B << ": " << Ct.status().toString();
       Vals.push_back(*Ct);
     }
-    auto Trace = RT->executor().runWithTrace(R->Program, Vals,
-                                             R->Program.VectorSize);
-    ASSERT_TRUE(Trace.hasValue()) << B << ": " << Trace.status().toString();
-    EXPECT_EQ(Trace->size(), R->Program.Instructions.size());
-    Traces.push_back(*Trace);
+    // Decrypt every value the run produces, in instruction order.
+    std::vector<std::vector<uint64_t>> Trace;
+    auto Out =
+        RT->executor().run(R->Program, Vals, [&](const backend::Value &V) {
+          Trace.push_back(RT->decrypt(V, R->Program.VectorSize));
+        });
+    ASSERT_TRUE(Out.hasValue()) << B << ": " << Out.status().toString();
+    EXPECT_EQ(Trace.size(), R->Program.Instructions.size());
+    Traces.push_back(Trace);
   }
   ASSERT_GE(Traces.size(), 2u);
   for (size_t I = 1; I < Traces.size(); ++I)

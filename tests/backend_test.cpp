@@ -471,4 +471,37 @@ TEST(NoiseBound, PredictedBudgetIsAtMostTheMeasuredOneAfterEveryInstruction) {
   }
 }
 
+TEST(NoiseBound, EveryKernelAtPlainModulus786433DecryptsLikeTheDryRun) {
+  // "bfv" builds the plaintext modulus a session selects under, not only
+  // 65537. At t = 786433 (prime, 1 mod 16384), every bundled kernel
+  // decrypts byte-equal to the dry-run backend, and the bound's predicted
+  // final budget at the selected parameters is at most the measured one.
+  const uint64_t Seed = testSeed(43);
+  SeedReporter Report(Seed);
+  Rng R(Seed);
+  constexpr uint64_t T = 786433;
+  driver::CompileOptions Opts;
+  Opts.RunSynthesis = false;
+  Opts.Synthesis.PlainModulus = T;
+  Opts.ExecutionSeed = Seed;
+  driver::CompileOptions Dry = Opts;
+  Dry.Backend = "dryrun";
+  driver::Compiler C(Opts);
+  for (const std::string &Name : C.registry().names()) {
+    auto Res = C.compile(Name);
+    ASSERT_TRUE(Res.hasValue()) << Name << ": " << Res.status().toString();
+    const Program &P = Res->Program;
+    std::vector<std::vector<uint64_t>> In;
+    for (int I = 0; I < P.NumInputs; ++I)
+      In.push_back(R.vectorBelow(T, P.VectorSize));
+    auto Enc = C.execute(P, In);
+    ASSERT_TRUE(Enc.hasValue()) << Name << ": " << Enc.status().toString();
+    auto Plain = driver::Compiler(Dry).execute(P, In);
+    ASSERT_TRUE(Plain.hasValue()) << Name << ": " << Plain.status().toString();
+    EXPECT_EQ(Enc->PolyDegree, Res->Params.PolyDegree) << Name;
+    EXPECT_EQ(Enc->Outputs, Plain->Outputs) << Name;
+    EXPECT_LE(Res->PredictedBudgetBits, Enc->NoiseBudgetBits + 1e-9) << Name;
+  }
+}
+
 } // namespace

@@ -598,20 +598,40 @@ TEST(DriverErrors, FallbackCarriesTheFailedAttemptStats) {
 }
 
 TEST(DriverErrors, EncryptedExecutionRejectsUnsupportedPlainModulus) {
-  CompileOptions Opts;
-  Opts.Synthesis.PlainModulus = 257; // Not the standard contexts' modulus.
-  quill::Program P = addProgram();
-  std::vector<std::vector<uint64_t>> Inputs = {{1, 2, 3, 4}, {5, 6, 7, 8}};
-  // The dry-run backend honors an arbitrary modulus...
-  CompileOptions Dry = Opts;
-  Dry.Backend = "dryrun";
-  auto Plain = Compiler(Dry).execute(P, Inputs);
-  ASSERT_TRUE(Plain.hasValue()) << Plain.status().toString();
-  // ...but an encrypted run would silently compute mod 65537, so it must
-  // be refused with a diagnostic instead.
-  auto Enc = Compiler(Opts).execute(P, Inputs);
-  ASSERT_FALSE(Enc.hasValue());
-  EXPECT_NE(Enc.status().message().find("modulus"), std::string::npos);
+  // "bfv" builds the plaintext modulus the options select under, but a
+  // context can batch only a prime t = 1 mod 2N below every coefficient
+  // prime. Each case misses one condition and must come back as an
+  // "execute" Status, never an abort in the context's constructor.
+  struct Case {
+    uint64_t T;
+    size_t Width; // 3000 slots need N = 8192.
+    const char *Why;
+  };
+  const Case Cases[] = {
+      {257, 4, "is not 1 mod 2N"},
+      {65536, 4, "is not prime"},
+      {40961, 3000, "is not 1 mod 2N = 16384"}, // 1 mod 8192 only.
+      // A 52-bit prime = 1 mod 16384, above every coefficient prime.
+      {2251799814045697, 4, "is not below 2^"},
+  };
+  for (const Case &C : Cases) {
+    CompileOptions Opts;
+    Opts.Synthesis.PlainModulus = C.T;
+    quill::Program P = addProgram(C.Width);
+    std::vector<std::vector<uint64_t>> Inputs(2,
+                                              std::vector<uint64_t>(C.Width));
+    // The dry-run backend honors an arbitrary modulus...
+    CompileOptions Dry = Opts;
+    Dry.Backend = "dryrun";
+    auto Plain = Compiler(Dry).execute(P, Inputs);
+    ASSERT_TRUE(Plain.hasValue()) << Plain.status().toString();
+    // ...an encrypted run must be refused with a diagnostic.
+    auto Enc = Compiler(Opts).execute(P, Inputs);
+    ASSERT_FALSE(Enc.hasValue()) << C.T;
+    EXPECT_EQ(Enc.status().diagnostics().front().Stage, "execute") << C.T;
+    EXPECT_NE(Enc.status().message().find(C.Why), std::string::npos)
+        << Enc.status().toString();
+  }
 }
 
 TEST(DriverErrors, CompileWithoutSynthesisNeedsABundledProgram) {

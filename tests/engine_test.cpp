@@ -9,13 +9,15 @@
 /// cache hit (no synthesis re-run), fingerprints are canonical (field
 /// assignment order never matters, every semantic change does), LRU
 /// eviction honors capacity and recency, artifacts round-trip through disk
-/// and execute correctly, and one CompiledKernel serves concurrent threads
-/// through its runtime pool. Plus the JSON layer underneath artifacts
-/// (escaping, strict parsing) and the printProgram/parseProgram round-trip
-/// over every bundled kernel.
+/// and execute correctly, one CompiledKernel serves concurrent threads
+/// through its runtime pool, and runtimes on one parameter set share one
+/// BFV context. Plus the JSON layer underneath artifacts (escaping, strict
+/// parsing) and the printProgram/parseProgram round-trip over every
+/// bundled kernel.
 ///
 //===----------------------------------------------------------------------===//
 
+#include "bfv/BfvContext.h"
 #include "driver/Artifact.h"
 #include "driver/Batcher.h"
 #include "driver/Engine.h"
@@ -31,6 +33,7 @@
 
 #include <atomic>
 #include <cstdio>
+#include <memory>
 #include <thread>
 #include <utility>
 
@@ -100,6 +103,25 @@ CompileOptions dryrunOptions() {
   CompileOptions Opts = bundledOptions();
   Opts.Backend = "dryrun";
   return Opts;
+}
+
+/// Small deterministic inputs shaped for \p P.
+std::vector<std::vector<uint64_t>> slotPattern(const quill::Program &P) {
+  std::vector<std::vector<uint64_t>> In(P.NumInputs,
+                                        std::vector<uint64_t>(P.VectorSize));
+  for (size_t V = 0; V < In.size(); ++V)
+    for (size_t I = 0; I < P.VectorSize; ++I)
+      In[V][I] = (3 * I + V) % 7;
+  return In;
+}
+
+/// Writes \p Doc to \p Path: the hand-edited artifacts the loader is
+/// tested on.
+void writeFile(const std::string &Path, const std::string &Doc) {
+  std::FILE *F = std::fopen(Path.c_str(), "wb");
+  ASSERT_NE(F, nullptr);
+  std::fwrite(Doc.data(), 1, Doc.size(), F);
+  std::fclose(F);
 }
 
 bool sameProgram(const quill::Program &A, const quill::Program &B) {
@@ -399,22 +421,103 @@ TEST(CompiledKernel, FourThreadsShareOneKernelCorrectly) {
   EXPECT_GE(Kernel.runtimesBuilt(), 1u);
 }
 
-TEST(Runtime, SharedStateReuseAcrossInstantiations) {
-  Compiler C;
-  quill::Program P = addProgram();
-  auto R1 = C.instantiate({&P});
-  ASSERT_TRUE(R1.hasValue()) << R1.status().toString();
-  // A second runtime built over the first one's shared state: one context
-  // object, fresh keys — the Engine's pool-scaling path.
-  auto R2 = C.instantiate({&P}, R1->sharedState());
-  ASSERT_TRUE(R2.hasValue()) << R2.status().toString();
-  EXPECT_EQ(R1->sharedState().get(), R2->sharedState().get());
+TEST(Runtime, RuntimesOnOneParameterSetShareOneContext) {
+  // "bfv" builds one context per parameter set and shares it with every
+  // live runtime on that set, whatever program, kernel, Engine or
+  // execution seed the runtime serves.
+  const uint64_t Start = BfvContext::instancesCreated();
+  auto Built = [&] { return BfvContext::instancesCreated() - Start; };
 
-  auto Ct = R2->encrypt({1, 2, 3, 4});
-  ASSERT_TRUE(Ct.hasValue());
-  auto Out = R2->run(P, {*Ct, *Ct});
-  ASSERT_TRUE(Out.hasValue()) << Out.status().toString();
-  EXPECT_EQ(R2->decrypt(*Out, 4), (std::vector<uint64_t>{2, 4, 6, 8}));
+  // Two runtimes of one program, and one under another execution seed:
+  // three key sets over one context.
+  quill::Program P = addProgram();
+  CompileOptions Seeded = bundledOptions();
+  Seeded.ExecutionSeed = 7;
+  auto R1 = Compiler(bundledOptions()).instantiate({&P});
+  auto R2 = Compiler(bundledOptions()).instantiate({&P});
+  auto R3 = Compiler(Seeded).instantiate({&P});
+  ASSERT_TRUE(R1.hasValue() && R2.hasValue() && R3.hasValue());
+  EXPECT_EQ(Built(), 1u);
+  for (const Runtime *RT : {&*R1, &*R2, &*R3}) {
+    auto Out = RT->execute(P, {{1, 2, 3, 4}, {1, 2, 3, 4}}, P.VectorSize);
+    ASSERT_TRUE(Out.hasValue()) << Out.status().toString();
+    EXPECT_EQ(Out->Outputs, (std::vector<uint64_t>{2, 4, 6, 8}));
+  }
+
+  // Box Blur and Dot Product select the same parameters as the add
+  // (4096/100): their Engine runtimes build no context.
+  Engine E(EngineOptions{4, 1, bundledOptions()});
+  auto Run = [&](const char *Name, unsigned WantBits) {
+    auto K = E.get(Name);
+    ASSERT_TRUE(K.hasValue()) << K.status().toString();
+    EXPECT_EQ((*K)->result().Params.coeffModulusBits(), WantBits) << Name;
+    const quill::Program &Q = (*K)->program();
+    const std::vector<std::vector<uint64_t>> In = slotPattern(Q);
+    auto Out = (*K)->execute(In);
+    ASSERT_TRUE(Out.hasValue()) << Name << ": " << Out.status().toString();
+    auto Dry = Compiler(dryrunOptions()).execute(Q, In);
+    ASSERT_TRUE(Dry.hasValue()) << Dry.status().toString();
+    EXPECT_EQ(Out->Outputs, Dry->Outputs) << Name;
+  };
+  Run("box blur", 100);
+  Run("dot product", 100);
+  EXPECT_EQ(Built(), 1u);
+
+  // A program on another parameter set builds its own.
+  Run("polynomial regression", 109);
+  EXPECT_EQ(Built(), 2u);
+}
+
+TEST(Runtime, ConcurrentInstantiationsOnTwoParameterSetsDecryptCorrectly) {
+  // Four threads instantiate Box Blur (4096/100) and Polynomial Regression
+  // (4096/109) at once, each under its own execution seed: each parameter
+  // set's context is built once, and every runtime decrypts what the
+  // dry-run backend computes.
+  const uint64_t Start = BfvContext::instancesCreated();
+  std::vector<quill::Program> Programs;
+  std::vector<std::vector<std::vector<uint64_t>>> Inputs;
+  std::vector<std::vector<uint64_t>> Want;
+  for (const char *Name : {"box blur", "polynomial regression"}) {
+    auto R = Compiler(bundledOptions()).compile(Name);
+    ASSERT_TRUE(R.hasValue()) << R.status().toString();
+    Programs.push_back(R->Program);
+    Inputs.push_back(slotPattern(R->Program));
+    auto Dry = Compiler(dryrunOptions()).execute(R->Program, Inputs.back());
+    ASSERT_TRUE(Dry.hasValue()) << Dry.status().toString();
+    Want.push_back(Dry->Outputs);
+  }
+
+  constexpr int Threads = 4;
+  std::vector<std::unique_ptr<Runtime>> Live(Threads);
+  std::vector<std::string> Errors(Threads);
+  std::atomic<int> Arrived{0};
+  std::vector<std::thread> Pool;
+  for (int Ti = 0; Ti < Threads; ++Ti)
+    Pool.emplace_back([&, Ti] {
+      const quill::Program &P = Programs[Ti % 2];
+      CompileOptions Opts = bundledOptions();
+      Opts.ExecutionSeed = 100 + static_cast<uint64_t>(Ti);
+      ++Arrived;
+      while (Arrived.load() < Threads)
+        std::this_thread::yield();
+      auto RT = Compiler(Opts).instantiate({&P});
+      if (!RT) {
+        Errors[Ti] = RT.status().toString();
+        return;
+      }
+      auto Out = RT->execute(P, Inputs[Ti % 2], P.VectorSize);
+      if (!Out)
+        Errors[Ti] = Out.status().toString();
+      else if (Out->Outputs != Want[Ti % 2])
+        Errors[Ti] = "decrypted the wrong result";
+      // Held until every thread is done, so no context dies in between.
+      Live[Ti] = std::make_unique<Runtime>(RT.take());
+    });
+  for (std::thread &Th : Pool)
+    Th.join();
+  for (int Ti = 0; Ti < Threads; ++Ti)
+    EXPECT_EQ(Errors[Ti], "") << "thread " << Ti;
+  EXPECT_EQ(BfvContext::instancesCreated() - Start, 2u);
 }
 
 TEST(Engine, ConcurrentMissesOfOneKeyCoalesceOntoOneCompile) {
@@ -619,12 +722,7 @@ TEST(Artifact, RecordedParamsAreNotTrustedOnLoad) {
   Doc.replace(At, Recorded.size(), "\"poly_degree\": 1024");
 
   const std::string Path = "engine_test_params_artifact.tmp.json";
-  {
-    std::FILE *F = std::fopen(Path.c_str(), "wb");
-    ASSERT_NE(F, nullptr);
-    std::fwrite(Doc.data(), 1, Doc.size(), F);
-    std::fclose(F);
-  }
+  writeFile(Path, Doc);
   Engine E(EngineOptions{1, 1, Opts});
   auto L = E.loadArtifact(Path);
   std::remove(Path.c_str());
@@ -655,12 +753,7 @@ TEST(Artifact, RecordedCostEstimateIsNotTrustedOnLoad) {
   }
 
   const std::string Path = "engine_test_cost_artifact.tmp.json";
-  {
-    std::FILE *F = std::fopen(Path.c_str(), "wb");
-    ASSERT_NE(F, nullptr);
-    std::fwrite(Doc.data(), 1, Doc.size(), F);
-    std::fclose(F);
-  }
+  writeFile(Path, Doc);
   Engine E(EngineOptions{1, 1, dryrunOptions()});
   auto L = E.loadArtifact(Path);
   std::remove(Path.c_str());
@@ -672,6 +765,35 @@ TEST(Artifact, RecordedCostEstimateIsNotTrustedOnLoad) {
       P.NumInputs, std::vector<uint64_t>(P.VectorSize, 2)));
   ASSERT_TRUE(Out.hasValue()) << Out.status().toString();
   EXPECT_EQ(Out->ChargedLatencyUs, 11800.0);
+}
+
+TEST(Artifact, AHandEditedPlainModulusFailsToExecute) {
+  // An artifact whose plain_modulus was edited to one "bfv" cannot batch
+  // (65536 is not prime) still loads; executing it returns an "execute"
+  // Status instead of aborting in the context's constructor.
+  Compiler C(bundledOptions());
+  auto R = C.compile("dot product");
+  ASSERT_TRUE(R.hasValue()) << R.status().toString();
+  std::string Doc = renderArtifact(*R, C.options());
+  const std::string Recorded = "\"plain_modulus\": 65537";
+  size_t At = Doc.find(Recorded);
+  ASSERT_NE(At, std::string::npos) << Doc;
+  Doc.replace(At, Recorded.size(), "\"plain_modulus\": 65536");
+
+  const std::string Path = "engine_test_modulus_artifact.tmp.json";
+  writeFile(Path, Doc);
+  Engine E(EngineOptions{1, 1, bundledOptions()});
+  auto L = E.loadArtifact(Path);
+  std::remove(Path.c_str());
+  ASSERT_TRUE(L.hasValue()) << L.status().toString();
+  const quill::Program &P = (*L)->program();
+  auto Out = (*L)->execute(std::vector<std::vector<uint64_t>>(
+      P.NumInputs, std::vector<uint64_t>(P.VectorSize, 2)));
+  ASSERT_FALSE(Out.hasValue());
+  EXPECT_EQ(Out.status().diagnostics().front().Stage, "execute");
+  EXPECT_NE(Out.status().message().find("65536: it is not prime"),
+            std::string::npos)
+      << Out.status().toString();
 }
 
 TEST(Artifact, FuzzedArtifactJsonLoadsOrFailsCleanly) {

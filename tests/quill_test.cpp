@@ -109,7 +109,6 @@ TEST(Interpreter, FullVectorConstantReadsZeroPastItsValues) {
   backend::SessionSpec Spec;
   Spec.Programs = {&Half};
   Spec.Params = selectParameters(Spec.Programs, *Dry, T).Params;
-  Spec.PlainModulus = T;
   auto Exec = Dry->createExecutor(Spec);
   ASSERT_TRUE(Exec.hasValue()) << Exec.status().toString();
   const size_t Row = (*Exec)->slotCount();
