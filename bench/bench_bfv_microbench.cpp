@@ -7,8 +7,10 @@
 /// \file
 /// Times every evaluator primitive the cost model prices (add, multiply,
 /// relinearize, rotate, ...) plus the kernels underneath them (NTT, fast
-/// base conversion) on the depth-1 serving parameters, and prints one JSON
-/// object, naming the NTT path (AVX-512 IFMA or scalar) the host ran.
+/// base conversion, key-switch inner product, scale-and-round) on the
+/// depth-1 serving parameters, and prints one JSON object, naming the path
+/// (AVX-512 IFMA or scalar) the host ran its transforms, pointwise kernels
+/// and conversions on.
 /// After touching the BFV hot paths, compare its numbers with a run at the
 /// parent commit on the same host; perfbench's per-layer bfv.* and math.*
 /// metrics time the same primitives. quill::LatencyTable's defaults were
@@ -99,12 +101,36 @@ int main(int Argc, char **Argv) {
   std::vector<std::vector<uint64_t>> Converted;
   double BaseConvUs = medianMicros(
       Repeats, [&] { Ctx.coeffToAux().convert(Poly.allResidues(), Converted); });
+  std::vector<std::vector<uint64_t>> Rounded;
+  double ScaleRoundUs = medianMicros(Repeats, [&] {
+    Ctx.auxScaleToCoeff().scaleAndRound(Converted, Rounded);
+  });
+
+  // One key-switch inner product: the relinearization key against a
+  // decomposed ciphertext component, over every coefficient prime.
+  std::vector<RingPoly> Digits = Eval.hoist(A, Relin.Key.Kind).Digits;
+  RingPoly Acc0 = RingPoly::zero(Ctx, /*InNttForm=*/true);
+  RingPoly Acc1 = Acc0;
+  double KeySwitchUs = medianMicros(Repeats, [&] {
+    for (size_t I = 0; I < Ctx.coeffBasis().count(); ++I) {
+      std::vector<const uint64_t *> X, K0, K1;
+      for (size_t D = 0; D < Digits.size(); ++D) {
+        X.push_back(Digits[D].residues(I).data());
+        K0.push_back(Relin.Key.K0[D].residues(I).data());
+        K1.push_back(Relin.Key.K1[D].residues(I).data());
+      }
+      Ctx.coeffNtt()[I].keySwitchInnerProduct(
+          Digits.size(), X.data(), K0.data(), K1.data(), nullptr, nullptr,
+          Acc0.residues(I).data(), Acc1.residues(I).data());
+    }
+  });
 
   std::printf("{\n");
   std::printf("  \"schema\": \"bfv-microbench/1\",\n");
   std::printf("  \"poly_degree\": %zu,\n", Ctx.polyDegree());
   std::printf("  \"coeff_modulus_bits\": %u,\n", Ctx.coeffModulusBits());
-  // Hosts without AVX-512 IFMA run the scalar butterflies; say which ran.
+  // Hosts without AVX-512 IFMA run the scalar transforms, kernels and
+  // conversions; say which ran.
   std::printf("  \"ntt_path\": \"%s\",\n",
               Ctx.coeffNtt().front().vectorized() ? "avx512ifma" : "scalar");
   std::printf("  \"repeats\": %d,\n", Repeats);
@@ -121,7 +147,9 @@ int main(int Argc, char **Argv) {
   std::printf("    \"decrypt\": %.1f,\n", DecryptUs);
   std::printf("    \"ntt_forward\": %.1f,\n", NttFwdUs);
   std::printf("    \"ntt_inverse\": %.1f,\n", NttInvUs);
-  std::printf("    \"base_conv_coeff_to_aux\": %.1f\n", BaseConvUs);
+  std::printf("    \"base_conv_coeff_to_aux\": %.1f,\n", BaseConvUs);
+  std::printf("    \"scale_round_aux_to_coeff\": %.1f,\n", ScaleRoundUs);
+  std::printf("    \"key_switch\": %.1f\n", KeySwitchUs);
   std::printf("  }\n");
   std::printf("}\n");
   return 0;

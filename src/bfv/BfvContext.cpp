@@ -130,11 +130,8 @@ BfvContext::BfvContext(const BfvParams &Params)
     }
   }
 
-  for (uint64_t P : CoeffBasis.primes()) {
-    uint64_t TMod = T % P;
-    TModPrimes.push_back(TMod);
-    TModPrimesShoup.push_back(shoupPrecompute(TMod, P));
-  }
+  for (uint64_t P : CoeffBasis.primes())
+    TModPrimes.push_back(T % P);
   InvQModT = invMod(CoeffBasis.modulus().modWord(T), T);
 }
 

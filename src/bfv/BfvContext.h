@@ -137,11 +137,8 @@ public:
   /// used by RNS decryption.
   const RnsBaseConverter &coeffToPlain() const { return CoeffToPlain; }
 
-  /// Shoup pairs for multiplying coefficient-basis residues by t.
+  /// t mod q_i for each coefficient prime.
   const std::vector<uint64_t> &plainModPrimes() const { return TModPrimes; }
-  const std::vector<uint64_t> &plainModPrimesShoup() const {
-    return TModPrimesShoup;
-  }
   /// Q^-1 mod t.
   uint64_t invQModPlain() const { return InvQModT; }
 
@@ -176,7 +173,6 @@ private:
   std::vector<std::vector<uint64_t>> DigitScales;
   std::vector<RnsGadgetDigit> RnsGadget;
   std::vector<uint64_t> TModPrimes;
-  std::vector<uint64_t> TModPrimesShoup;
   uint64_t InvQModT = 0;
 
   static CrtBasis makeCoeffBasis(const BfvParams &Params);

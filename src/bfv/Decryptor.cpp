@@ -23,10 +23,10 @@ RingPoly Decryptor::evaluateAtSecret(const Ciphertext &Ct) const {
   RingPoly Acc = Ct[Ct.size() - 1];
   Acc.ensureNtt(Ctx);
   for (size_t I = Ct.size() - 1; I-- > 0;) {
-    Acc.mulAssignNtt(Ctx, Sk.S);
     RingPoly C = Ct[I];
     C.ensureNtt(Ctx);
-    Acc.addAssign(Ctx, C);
+    C.addProductNtt(Ctx, Acc, Sk.S);
+    Acc = std::move(C);
   }
   Acc.fromNtt(Ctx);
   return Acc;
@@ -56,16 +56,11 @@ Plaintext Decryptor::decrypt(const Ciphertext &Ct) const {
   // reducing the identity mod t, m = [-r * Q^-1]_t. r's residues are just
   // t*x_i mod q_i, and r itself (a value in (-Q/2, Q/2)) transfers to the
   // basis {t} by an exact base conversion -- no wide integers anywhere.
-  const auto &Primes = Ctx.coeffBasis().primes();
   const auto &TMod = Ctx.plainModPrimes();
-  const auto &TShoup = Ctx.plainModPrimesShoup();
-  std::vector<std::vector<uint64_t>> R(Primes.size());
-  for (size_t I = 0; I < Primes.size(); ++I) {
-    uint64_t Q = Primes[I];
-    const auto &X = CS.residues(I);
+  std::vector<std::vector<uint64_t>> R(CS.primeCount());
+  for (size_t I = 0; I < R.size(); ++I) {
     R[I].resize(N);
-    for (size_t J = 0; J < N; ++J)
-      R[I][J] = mulModShoup(X[J], TMod[I], TShoup[I], Q);
+    Ctx.coeffNtt()[I].mulScalar(CS.residues(I).data(), TMod[I], R[I].data());
   }
   std::vector<std::vector<uint64_t>> RModT;
   Ctx.coeffToPlain().convertExact(R, RModT);

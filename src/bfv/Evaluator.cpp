@@ -9,7 +9,6 @@
 #include "math/ModArith.h"
 #include "support/Error.h"
 
-#include <algorithm>
 #include <array>
 #include <cassert>
 
@@ -224,8 +223,7 @@ Ciphertext Evaluator::multiplyBigInt(const Ciphertext &A,
 Ciphertext Evaluator::multiplyRns(const Ciphertext &A,
                                   const Ciphertext &B) const {
   size_t N = Ctx.polyDegree();
-  const auto &AuxPrimes = Ctx.auxBasis().primes();
-  size_t KAux = AuxPrimes.size();
+  size_t KAux = Ctx.auxBasis().count();
   const auto &AuxNtt = Ctx.auxNtt();
   // A square (the same object twice) extends and transforms its two
   // components once and forms e1 = 2 * a0 * a1.
@@ -259,43 +257,39 @@ Ciphertext Evaluator::multiplyRns(const Ciphertext &A,
     Extend(B[1], Ops[3]);
   }
 
-  // 2. Pointwise tensor, in place: e0 = a0*b0 over a0, e1 = a0*b1 + a1*b0
-  // over a1, e2 = a1*b1 over b0 (every slot is read before it is written).
-  // The auxiliary modulus exceeds 2^8 * N * Q^2, so the signed
-  // convolutions are represented exactly.
+  // 2. Pointwise tensor: e0 = a0*b0 over a0, e2 = a1*b1 over a1, and
+  // e1 = a0*b1 + a1*b0 (a square: 2*a0*a1) into the third vector. A
+  // product's operands are both still needed, so e1 goes to a spare vector
+  // that then trades places with b0. The auxiliary modulus exceeds
+  // 2^8 * N * Q^2, so the signed convolutions are represented exactly.
+  std::vector<uint64_t> Spare(Square ? 0 : N);
   for (size_t P = 0; P < KAux; ++P) {
-    uint64_t Prime = AuxPrimes[P];
-    const BarrettReducer &Red = AuxNtt[P].reducer();
-    auto &E0 = Ops[0][P];
-    auto &E1 = Ops[1][P];
-    auto &E2 = Ops[2][P];
+    const NttTables &Tables = AuxNtt[P];
+    uint64_t *A0 = Ops[0][P].data(), *A1 = Ops[1][P].data();
     if (Square) {
-      for (size_t J = 0; J < N; ++J) {
-        uint64_t A0 = E0[J], A1 = E1[J];
-        uint64_t Cross = Red.mulMod(A0, A1);
-        E0[J] = Red.mulMod(A0, A0);
-        E1[J] = addMod(Cross, Cross, Prime);
-        E2[J] = Red.mulMod(A1, A1);
-      }
+      uint64_t *E1 = Ops[2][P].data();
+      Tables.mulPointwise(A0, A1, E1);
+      Tables.addPointwise(E1, E1, E1);
+      Tables.mulPointwise(A0, A0, A0);
+      Tables.mulPointwise(A1, A1, A1);
       continue;
     }
-    const auto &B1 = Ops[3][P];
-    for (size_t J = 0; J < N; ++J) {
-      uint64_t A0 = E0[J], A1 = E1[J], B0 = E2[J];
-      E0[J] = Red.mulMod(A0, B0);
-      E1[J] = addMod(Red.mulMod(A0, B1[J]), Red.mulMod(A1, B0), Prime);
-      E2[J] = Red.mulMod(A1, B1[J]);
-    }
+    const uint64_t *B0 = Ops[2][P].data(), *B1 = Ops[3][P].data();
+    Tables.mulPointwise(A0, B1, Spare.data());
+    Tables.mulAddPointwise(A1, B0, Spare.data());
+    Tables.mulPointwise(A0, B0, A0);
+    Tables.mulPointwise(A1, B1, A1);
+    std::swap(Ops[2][P], Spare);
   }
 
   // 3. Back to coefficients, then scale each component by t/Q with
   // rounding in one pass from the auxiliary basis to the coefficient one.
   Ciphertext Out;
-  for (size_t C = 0; C < 3; ++C) {
+  for (AuxResidues *E : {&Ops[0], &Ops[2], &Ops[1]}) {
     for (size_t P = 0; P < KAux; ++P)
-      AuxNtt[P].inverseTransform(Ops[C][P]);
+      AuxNtt[P].inverseTransform((*E)[P]);
     RingPoly Component = RingPoly::zero(Ctx);
-    Ctx.auxScaleToCoeff().scaleAndRound(Ops[C], Component.allResidues());
+    Ctx.auxScaleToCoeff().scaleAndRound(*E, Component.allResidues());
     Out.Components.push_back(std::move(Component));
   }
   return Out;
@@ -369,46 +363,25 @@ std::vector<RingPoly> Evaluator::decompose(const RingPoly &P,
 
 void Evaluator::keySwitchAccumulate(const std::vector<RingPoly> &Digits,
                                     const KeySwitchKey &Key,
-                                    const uint32_t *Perm, RingPoly &Acc0,
-                                    RingPoly &Acc1) const {
+                                    const uint32_t *Perm, const RingPoly *C0,
+                                    RingPoly &Acc0, RingPoly &Acc1) const {
   if (Key.K0.size() != Digits.size())
     fatalError("key-switching key was generated for a different gadget");
   assert(Acc0.isNtt() && Acc1.isNtt() && "accumulators must be in NTT form");
-  size_t N = Ctx.polyDegree();
+  assert((!C0 || C0->isNtt()) && "c0 must be in NTT form");
   size_t NumDigits = Digits.size();
   std::vector<const uint64_t *> X(NumDigits), K0(NumDigits), K1(NumDigits);
   for (size_t I = 0; I < Ctx.coeffBasis().count(); ++I) {
-    uint64_t Q = Ctx.coeffBasis().primes()[I];
-    const BarrettReducer &Red = Ctx.coeffNtt()[I].reducer();
     for (size_t D = 0; D < NumDigits; ++D) {
       assert(Digits[D].isNtt() && "digits must be in NTT form");
       X[D] = Digits[D].residues(I).data();
       K0[D] = Key.K0[D].residues(I).data();
       K1[D] = Key.K1[D].residues(I).data();
     }
-    // Lazy reduction: sum the digits' 128-bit products unreduced and reduce
-    // once per slot. A product is at most (Q-1)^2, which bounds how many
-    // can be summed without overflow (at least 16 for any Q < 2^62).
-    unsigned __int128 MaxProduct =
-        static_cast<unsigned __int128>(Q - 1) * (Q - 1);
-    size_t Chunk = static_cast<size_t>(std::min<unsigned __int128>(
-        ~static_cast<unsigned __int128>(0) / MaxProduct, NumDigits));
-    uint64_t *O0 = Acc0.residues(I).data();
-    uint64_t *O1 = Acc1.residues(I).data();
-    for (size_t First = 0; First < NumDigits; First += Chunk) {
-      size_t Last = std::min(First + Chunk, NumDigits);
-      for (size_t J = 0; J < N; ++J) {
-        size_t From = Perm ? Perm[J] : J;
-        unsigned __int128 S0 = 0, S1 = 0;
-        for (size_t D = First; D < Last; ++D) {
-          uint64_t V = X[D][From];
-          S0 += static_cast<unsigned __int128>(V) * K0[D][J];
-          S1 += static_cast<unsigned __int128>(V) * K1[D][J];
-        }
-        O0[J] = addMod(O0[J], Red.reduce(S0), Q);
-        O1[J] = addMod(O1[J], Red.reduce(S1), Q);
-      }
-    }
+    Ctx.coeffNtt()[I].keySwitchInnerProduct(
+        NumDigits, X.data(), K0.data(), K1.data(), Perm,
+        C0 ? C0->residues(I).data() : nullptr, Acc0.residues(I).data(),
+        Acc1.residues(I).data());
   }
 }
 
@@ -424,12 +397,12 @@ Ciphertext Evaluator::relinearize(const Ciphertext &A,
   // The switched c2 * s^2 comes out in NTT form: accumulate it straight
   // into NTT-form components, or transform it once for coefficient form.
   if (isNttForm(A)) {
-    keySwitchAccumulate(Digits, Keys.Key, nullptr, Out[0], Out[1]);
+    keySwitchAccumulate(Digits, Keys.Key, nullptr, nullptr, Out[0], Out[1]);
     return Out;
   }
   RingPoly D0 = RingPoly::zero(Ctx, /*InNttForm=*/true);
   RingPoly D1 = RingPoly::zero(Ctx, /*InNttForm=*/true);
-  keySwitchAccumulate(Digits, Keys.Key, nullptr, D0, D1);
+  keySwitchAccumulate(Digits, Keys.Key, nullptr, nullptr, D0, D1);
   D0.fromNtt(Ctx);
   D1.fromNtt(Ctx);
   Out[0].addAssign(Ctx, D0);
@@ -458,16 +431,11 @@ Ciphertext Evaluator::applyGalois(const HoistedCiphertext &H, uint64_t Elt,
   // automorphism only permutes and negates coefficients, so the permuted
   // digits of c1 are a decomposition of sigma(c1) with the same norm, and
   // the key switches sigma(s) back to s.
-  const uint32_t *Perm = Key.NttPermutation.data();
+  // The inner product also fills c0's accumulator with the permuted c0.
   RingPoly C0 = RingPoly::zero(Ctx, /*InNttForm=*/true);
-  for (size_t I = 0; I < C0.primeCount(); ++I) {
-    const auto &In = H.C0.residues(I);
-    auto &Out = C0.residues(I);
-    for (size_t J = 0; J < Out.size(); ++J)
-      Out[J] = In[Perm[J]];
-  }
   RingPoly C1 = RingPoly::zero(Ctx, /*InNttForm=*/true);
-  keySwitchAccumulate(H.Digits, Key.Switch, Perm, C0, C1);
+  keySwitchAccumulate(H.Digits, Key.Switch, Key.NttPermutation.data(), &H.C0,
+                      C0, C1);
   Ciphertext Out;
   Out.Components.push_back(std::move(C0));
   Out.Components.push_back(std::move(C1));

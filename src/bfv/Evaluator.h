@@ -44,9 +44,14 @@ struct HoistedCiphertext {
 ///
 /// The hot paths (ciphertext multiply, key switching) run RNS-native by
 /// default: every per-coefficient step works on 64-bit residues, with fast
-/// base conversion in place of CRT lifts. Passing UseRnsHotPath = false
-/// selects the original wide-integer multiply, kept alive as a
-/// differential-testing oracle; the two return identical residues.
+/// base conversion in place of CRT lifts. The evaluator holds no
+/// per-coefficient loops of its own: the multiply's tensor and the
+/// key-switch inner product are NttTables kernels of the auxiliary and
+/// coefficient primes, and the conversions are the context's converters,
+/// all of which run on IFMA52 lanes where the CPU has them. Passing
+/// UseRnsHotPath = false selects the original wide-integer multiply, kept
+/// alive as a differential-testing oracle; the two return identical
+/// residues.
 ///
 /// Ciphertexts may be in either coefficient or NTT form (all components of
 /// one ciphertext always share a form). Operations that are cheap in
@@ -136,12 +141,16 @@ private:
   Ciphertext rotate(const Ciphertext &A, uint64_t Elt,
                     const GaloisKeys &Keys) const;
 
-  /// Key-switch inner product in NTT form: Acc0 += sum_d D_d * K0_d and
+  /// Key-switch inner product in NTT form, per prime through
+  /// NttTables::keySwitchInnerProduct: Acc0 += sum_d D_d * K0_d and
   /// Acc1 += sum_d D_d * K1_d, where D_d is Digits[d] with output slot j
-  /// read from slot Perm[j] (Perm null: the digits as they are).
+  /// read from slot Perm[j] (Perm null: the digits as they are). A
+  /// non-null \p C0 replaces Acc0's starting value with C0 read through
+  /// the same permutation.
   void keySwitchAccumulate(const std::vector<RingPoly> &Digits,
                            const KeySwitchKey &Key, const uint32_t *Perm,
-                           RingPoly &Acc0, RingPoly &Acc1) const;
+                           const RingPoly *C0, RingPoly &Acc0,
+                           RingPoly &Acc1) const;
 
   /// The two tensor-and-round implementations behind multiply().
   Ciphertext multiplyRns(const Ciphertext &A, const Ciphertext &B) const;

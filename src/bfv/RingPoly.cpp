@@ -117,32 +117,21 @@ void RingPoly::fromNtt(const BfvContext &Ctx) {
 
 void RingPoly::addAssign(const BfvContext &Ctx, const RingPoly &RHS) {
   assert(Ntt == RHS.Ntt && "domain mismatch");
-  for (size_t I = 0; I < Residues.size(); ++I) {
-    uint64_t Q = Ctx.coeffBasis().primes()[I];
-    auto &A = Residues[I];
-    const auto &B = RHS.Residues[I];
-    for (size_t J = 0; J < A.size(); ++J)
-      A[J] = addMod(A[J], B[J], Q);
-  }
+  for (size_t I = 0; I < Residues.size(); ++I)
+    Ctx.coeffNtt()[I].addPointwise(Residues[I].data(),
+                                   RHS.Residues[I].data(), Residues[I].data());
 }
 
 void RingPoly::subAssign(const BfvContext &Ctx, const RingPoly &RHS) {
   assert(Ntt == RHS.Ntt && "domain mismatch");
-  for (size_t I = 0; I < Residues.size(); ++I) {
-    uint64_t Q = Ctx.coeffBasis().primes()[I];
-    auto &A = Residues[I];
-    const auto &B = RHS.Residues[I];
-    for (size_t J = 0; J < A.size(); ++J)
-      A[J] = subMod(A[J], B[J], Q);
-  }
+  for (size_t I = 0; I < Residues.size(); ++I)
+    Ctx.coeffNtt()[I].subPointwise(Residues[I].data(),
+                                   RHS.Residues[I].data(), Residues[I].data());
 }
 
 void RingPoly::negate(const BfvContext &Ctx) {
-  for (size_t I = 0; I < Residues.size(); ++I) {
-    uint64_t Q = Ctx.coeffBasis().primes()[I];
-    for (auto &V : Residues[I])
-      V = negMod(V, Q);
-  }
+  for (size_t I = 0; I < Residues.size(); ++I)
+    Ctx.coeffNtt()[I].negatePointwise(Residues[I].data(), Residues[I].data());
 }
 
 RingPoly RingPoly::multiply(const BfvContext &Ctx, const RingPoly &A,
@@ -152,39 +141,34 @@ RingPoly RingPoly::multiply(const BfvContext &Ctx, const RingPoly &A,
     FA.toNtt(Ctx);
   if (!FB.Ntt)
     FB.toNtt(Ctx);
-  RingPoly Out = zero(Ctx);
-  Out.Ntt = true;
-  for (size_t I = 0; I < Out.Residues.size(); ++I) {
-    const BarrettReducer &Red = Ctx.coeffNtt()[I].reducer();
-    auto &O = Out.Residues[I];
-    const auto &X = FA.Residues[I];
-    const auto &Y = FB.Residues[I];
-    for (size_t J = 0; J < O.size(); ++J)
-      O[J] = Red.mulMod(X[J], Y[J]);
-  }
-  Out.fromNtt(Ctx);
-  return Out;
+  FA.mulAssignNtt(Ctx, FB);
+  FA.fromNtt(Ctx);
+  return FA;
 }
 
 void RingPoly::mulAssignNtt(const BfvContext &Ctx, const RingPoly &RHS) {
   assert(Ntt && RHS.Ntt && "mulAssignNtt requires NTT form");
-  for (size_t I = 0; I < Residues.size(); ++I) {
-    const BarrettReducer &Red = Ctx.coeffNtt()[I].reducer();
-    auto &O = Residues[I];
-    const auto &X = RHS.Residues[I];
-    for (size_t J = 0; J < O.size(); ++J)
-      O[J] = Red.mulMod(O[J], X[J]);
-  }
+  for (size_t I = 0; I < Residues.size(); ++I)
+    Ctx.coeffNtt()[I].mulPointwise(Residues[I].data(), RHS.Residues[I].data(),
+                                   Residues[I].data());
+}
+
+void RingPoly::addProductNtt(const BfvContext &Ctx, const RingPoly &X,
+                             const RingPoly &Y) {
+  assert(Ntt && X.Ntt && Y.Ntt && "addProductNtt requires NTT form");
+  for (size_t I = 0; I < Residues.size(); ++I)
+    Ctx.coeffNtt()[I].mulAddPointwise(X.Residues[I].data(),
+                                      Y.Residues[I].data(),
+                                      Residues[I].data());
 }
 
 void RingPoly::scaleByScalars(const BfvContext &Ctx,
                               const std::vector<uint64_t> &ScalarModPrime) {
   assert(ScalarModPrime.size() == Residues.size() && "scalar table mismatch");
   for (size_t I = 0; I < Residues.size(); ++I) {
-    uint64_t Q = Ctx.coeffBasis().primes()[I];
-    uint64_t S = ScalarModPrime[I] % Q;
-    for (auto &V : Residues[I])
-      V = mulMod(V, S, Q);
+    const NttTables &Tables = Ctx.coeffNtt()[I];
+    Tables.mulScalar(Residues[I].data(),
+                     ScalarModPrime[I] % Tables.modulus(), Residues[I].data());
   }
 }
 

@@ -7,7 +7,9 @@
 /// \file
 /// Elements of R_Q = Z_Q[x]/(x^N + 1) stored in residue-number-system form:
 /// one length-N residue vector per coefficient prime. Cheap operations
-/// (add/sub/negate, Galois automorphisms) act per prime; multiplication goes
+/// (add/sub/negate, pointwise and scalar products, Galois automorphisms)
+/// act per prime, each through its NttTables' pointwise kernels, so they
+/// run on the IFMA52 lanes wherever the transforms do; multiplication goes
 /// through the per-prime NTT; exact lifts to wide integers remain for the
 /// wide-integer oracle paths (BigInt multiply, decryption, noise metering
 /// and power-of-two digit decomposition).
@@ -107,6 +109,10 @@ public:
   /// Pointwise multiply in NTT form: *this *= RHS. Both must be in NTT
   /// form; RHS may alias *this.
   void mulAssignNtt(const BfvContext &Ctx, const RingPoly &RHS);
+
+  /// Pointwise multiply-add in NTT form: *this += X * Y, one pass.
+  void addProductNtt(const BfvContext &Ctx, const RingPoly &X,
+                     const RingPoly &Y);
 
   /// Multiplies by the per-prime scalar table \p ScalarModPrime
   /// (ScalarModPrime[i] applies to prime i); works in either domain.

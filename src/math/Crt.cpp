@@ -6,6 +6,7 @@
 
 #include "math/Crt.h"
 
+#include "math/Ifma52.h"
 #include "math/ModArith.h"
 
 #include <algorithm>
@@ -15,6 +16,187 @@
 using namespace porcupine;
 
 using U128 = unsigned __int128;
+
+/// Whether the converters between bases of \p Src and \p Tgt primes can run
+/// on the lanes: every prime below 2^50, alpha's K + 1 values inside one
+/// 16-entry lane permute (which also keeps a lazy sum of K products below
+/// 2^104), and at most 16 targets, whose lane constants stay on the stack.
+static bool lanesFit(const std::vector<uint64_t> &Src,
+                     const std::vector<uint64_t> &Tgt) {
+#ifdef PORCUPINE_IFMA52
+  auto Below50 = [](uint64_t P) { return P < (1ull << 50); };
+  return Src.size() < 16 && Tgt.size() <= 16 &&
+         std::all_of(Src.begin(), Src.end(), Below50) &&
+         std::all_of(Tgt.begin(), Tgt.end(), Below50) &&
+         ifma52::cpuSupported();
+#else
+  (void)Src;
+  (void)Tgt;
+  return false;
+#endif
+}
+
+/// Sizes \p Out to \p Targets vectors of In's length. Words it already
+/// holds are left for the conversion to overwrite.
+static size_t sizeOutput(const std::vector<std::vector<uint64_t>> &In,
+                         std::vector<std::vector<uint64_t>> &Out,
+                         size_t Targets) {
+  size_t N = In[0].size();
+  Out.resize(Targets);
+  for (auto &V : Out)
+    V.resize(N);
+  return N;
+}
+
+#ifdef PORCUPINE_IFMA52
+//===----------------------------------------------------------------------===//
+// AVX-512 IFMA52 conversions
+//
+// Eight coefficients per step. alpha comes from the scalar code's double
+// operations in its order, through the explicitly rounded intrinsics:
+// GCC contracts _mm512_add_pd(v, _mm512_mul_pd(a, b)) into an FMA under
+// this target, and a fused alpha can pick the other lift near a rounding
+// boundary. Everything else is exact integer arithmetic.
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+using namespace porcupine::ifma52;
+
+constexpr int Nearest = _MM_FROUND_TO_NEAREST_INT | _MM_FROUND_NO_EXC;
+
+/// The 16-entry table \p Table[0, 16) at the lane indices \p Alpha.
+PORCUPINE_IFMA_TARGET inline __m512i lookup16(const uint64_t *Table,
+                                              __m512i Alpha) {
+  return _mm512_permutex2var_epi64(load(Table), Alpha, load(Table + 8));
+}
+
+/// c_i = [x_i * W_i]_{p_i} for eight coefficients, and alpha's running
+/// estimate Est + c_i / p_i in the scalar code's double operations.
+PORCUPINE_IFMA_TARGET inline __m512i crtCoefficient(const uint64_t *X,
+                                                    uint64_t W,
+                                                    uint64_t WShoup64,
+                                                    double InvP,
+                                                    const Lanes &C,
+                                                    __m512d &Est) {
+  __m512i V = reduceBelow(
+      mulShoupLazy(load(X), splat(W), shoup52(splat(WShoup64)), C), C.P);
+  Est = _mm512_maskz_add_round_pd(
+      AllLanes, Est,
+      _mm512_maskz_mul_round_pd(AllLanes, _mm512_cvtepu64_pd(V),
+                                _mm512_set1_pd(InvP), Nearest),
+      Nearest);
+  return V;
+}
+
+/// uint64(Est + 0.5), the scalar code's rounding of alpha.
+PORCUPINE_IFMA_TARGET inline __m512i roundAlpha(__m512d Est, size_t K) {
+  __m512i Alpha = _mm512_cvttpd_epu64(
+      _mm512_maskz_add_round_pd(AllLanes, Est, _mm512_set1_pd(0.5), Nearest));
+  assert(_mm512_cmpgt_epu64_mask(Alpha, splat(K)) == 0 &&
+         "alpha outside [0, k]");
+  return Alpha;
+}
+
+/// RnsBaseConverter::convert on coefficients [0, N - N % 8).
+PORCUPINE_IFMA_TARGET size_t convertIfma(
+    const std::vector<std::vector<uint64_t>> &In,
+    std::vector<std::vector<uint64_t>> &Out, const Barrett52 *Src,
+    const uint64_t *InvPunct, const uint64_t *InvPunctShoup,
+    const double *InvSrcPrime, const Barrett52 *Tgt,
+    const std::vector<std::vector<uint64_t>> &PunctModTgt,
+    const uint64_t *AlphaQLanes, bool Wide) {
+  size_t K = In.size(), T = Out.size(), N = In[0].size() & ~size_t(7);
+  Lanes SrcL[16], TgtL[16];
+  for (size_t I = 0; I < K; ++I)
+    SrcL[I] = lanes(Src[I]);
+  for (size_t J = 0; J < T; ++J)
+    TgtL[J] = lanes(Tgt[J]);
+  __m512i C[16];
+  for (size_t Coeff = 0; Coeff < N; Coeff += 8) {
+    __m512d Est = _mm512_setzero_pd();
+    for (size_t I = 0; I < K; ++I)
+      C[I] = crtCoefficient(In[I].data() + Coeff, InvPunct[I],
+                            InvPunctShoup[I], InvSrcPrime[I], SrcL[I], Est);
+    __m512i Alpha = roundAlpha(Est, K);
+    for (size_t J = 0; J < T; ++J) {
+      __m512i Lo = _mm512_setzero_si512(), Hi = _mm512_setzero_si512();
+      const uint64_t *Punct = PunctModTgt[J].data();
+      for (size_t I = 0; I < K; ++I) {
+        Lo = _mm512_madd52lo_epu64(Lo, C[I], splat(Punct[I]));
+        Hi = _mm512_madd52hi_epu64(Hi, C[I], splat(Punct[I]));
+      }
+      __m512i R = Wide ? reduceWide(Lo, Hi, TgtL[J])
+                       : barrettReduce(Lo, Hi, TgtL[J]);
+      store(Out[J].data() + Coeff,
+            subMod(R, lookup16(AlphaQLanes + 16 * J, Alpha), TgtL[J]));
+    }
+  }
+  return N;
+}
+
+/// RnsScaleRounder::scaleAndRound on coefficients [0, N - N % 8). The
+/// rounded fraction floor((sum_j b_j * F_j * 2^128 + G_alpha * 2^128 +
+/// 2^127) / 2^128) is summed exactly in four 52-bit limb columns.
+PORCUPINE_IFMA_TARGET size_t scaleAndRoundIfma(
+    const std::vector<std::vector<uint64_t>> &In,
+    std::vector<std::vector<uint64_t>> &Out, const Barrett52 *Src,
+    const uint64_t *InvPunct, const uint64_t *InvPunctShoup,
+    const double *InvSrcPrime, const uint64_t *FracLimbs,
+    const uint64_t *GLanes, const Barrett52 *Tgt,
+    const std::vector<std::vector<uint64_t>> &IntModTgt,
+    const uint64_t *CLanes, bool Wide) {
+  size_t K = In.size(), T = Out.size(), N = In[0].size() & ~size_t(7);
+  Lanes SrcL[16], TgtL[16];
+  for (size_t J = 0; J < K; ++J)
+    SrcL[J] = lanes(Src[J]);
+  for (size_t I = 0; I < T; ++I)
+    TgtL[I] = lanes(Tgt[I]);
+  __m512i B[16];
+  for (size_t Coeff = 0; Coeff < N; Coeff += 8) {
+    __m512d Est = _mm512_setzero_pd();
+    // Column d sums the limb products of weight 2^(52 d).
+    __m512i Col[4] = {_mm512_setzero_si512(), _mm512_setzero_si512(),
+                      _mm512_setzero_si512(), _mm512_setzero_si512()};
+    for (size_t J = 0; J < K; ++J) {
+      B[J] = crtCoefficient(In[J].data() + Coeff, InvPunct[J],
+                            InvPunctShoup[J], InvSrcPrime[J], SrcL[J], Est);
+      for (unsigned D = 0; D < 3; ++D) {
+        __m512i F = splat(FracLimbs[3 * J + D]);
+        Col[D] = _mm512_madd52lo_epu64(Col[D], B[J], F);
+        Col[D + 1] = _mm512_madd52hi_epu64(Col[D + 1], B[J], F);
+      }
+    }
+    __m512i Alpha = roundAlpha(Est, K);
+    Col[1] = _mm512_add_epi64(Col[1], lookup16(GLanes, Alpha));
+    Col[2] = _mm512_add_epi64(Col[2], lookup16(GLanes + 16, Alpha));
+    // Carry column 0 into 1 and 1 into 2; then floor(total / 2^104) =
+    // Col[2] + Col[3] * 2^52, and dividing by 2^24 more drops 2^128.
+    Col[1] = _mm512_add_epi64(Col[1],
+                              _mm512_maskz_srli_epi64(AllLanes, Col[0], 52));
+    Col[2] = _mm512_add_epi64(Col[2],
+                              _mm512_maskz_srli_epi64(AllLanes, Col[1], 52));
+    __m512i Rounded =
+        _mm512_add_epi64(_mm512_maskz_srli_epi64(AllLanes, Col[2], 24),
+                         _mm512_maskz_slli_epi64(AllLanes, Col[3], 28));
+    for (size_t I = 0; I < T; ++I) {
+      __m512i Lo = Rounded, Hi = _mm512_setzero_si512();
+      const uint64_t *Int = IntModTgt[I].data();
+      for (size_t J = 0; J < K; ++J) {
+        Lo = _mm512_madd52lo_epu64(Lo, B[J], splat(Int[J]));
+        Hi = _mm512_madd52hi_epu64(Hi, B[J], splat(Int[J]));
+      }
+      __m512i R = Wide ? reduceWide(Lo, Hi, TgtL[I])
+                       : barrettReduce(Lo, Hi, TgtL[I]);
+      store(Out[I].data() + Coeff,
+            subMod(R, lookup16(CLanes + 16 * I, Alpha), TgtL[I]));
+    }
+  }
+  return N;
+}
+
+} // namespace
+#endif // PORCUPINE_IFMA52
 
 CrtBasis::CrtBasis(std::vector<uint64_t> PrimesIn) : Primes(std::move(PrimesIn)) {
   assert(!Primes.empty() && "CRT basis needs at least one prime");
@@ -137,8 +319,10 @@ BigInt CrtBasis::maxCenteredMagnitude(
   return BigInt::fromWords(Max.data(), (Q.bitLength() + 63) / 64);
 }
 
-RnsBaseConverter::RnsBaseConverter(const CrtBasis &From, const CrtBasis &To)
+RnsBaseConverter::RnsBaseConverter(const CrtBasis &From, const CrtBasis &To,
+                                   bool AllowVector)
     : SrcPrimes(From.primes()), TgtPrimes(To.primes()),
+      Vector(AllowVector && lanesFit(SrcPrimes, TgtPrimes)),
       InvPunct(From.invPunctured()) {
   size_t K = SrcPrimes.size();
   InvPunctShoup.resize(K);
@@ -166,22 +350,30 @@ RnsBaseConverter::RnsBaseConverter(const CrtBasis &From, const CrtBasis &To)
       AlphaQModTgt[A][J] = mulMod(A % TgtPrimes[J], QModT, TgtPrimes[J]);
     }
   }
+
+  if (!Vector)
+    return;
+  uint64_t MaxSrc = *std::max_element(SrcPrimes.begin(), SrcPrimes.end());
+  for (uint64_t P : SrcPrimes)
+    SrcLane.emplace_back(P);
+  AlphaQLanes.assign(16 * TgtPrimes.size(), 0);
+  for (size_t J = 0; J < TgtPrimes.size(); ++J) {
+    TgtLane.emplace_back(TgtPrimes[J]);
+    WideSums |= TgtLane.back().lazyTerms(MaxSrc - 1, TgtPrimes[J] - 1, 0) < K;
+    for (size_t A = 0; A <= K; ++A)
+      AlphaQLanes[16 * J + A] = AlphaQModTgt[A][J];
+  }
 }
 
 template <bool Exact>
-void RnsBaseConverter::convertImpl(
+void RnsBaseConverter::convertScalar(
     const std::vector<std::vector<uint64_t>> &In,
-    std::vector<std::vector<uint64_t>> &Out) const {
+    std::vector<std::vector<uint64_t>> &Out, size_t From) const {
   size_t K = SrcPrimes.size();
-  assert(In.size() == K && "source residue count mismatch");
   size_t N = In[0].size();
-  Out.resize(TgtPrimes.size());
-  for (auto &V : Out)
-    V.assign(N, 0);
-
   // Scratch for the per-coefficient CRT coefficients c_i.
   std::vector<uint64_t> C(K);
-  for (size_t Coeff = 0; Coeff < N; ++Coeff) {
+  for (size_t Coeff = From; Coeff < N; ++Coeff) {
     // c_i = [x_i * (Q/q_i)^-1]_{q_i}; x/Q = frac(sum_i c_i / q_i).
     uint64_t Alpha;
     if (Exact) {
@@ -222,18 +414,31 @@ void RnsBaseConverter::convertImpl(
 
 void RnsBaseConverter::convert(const std::vector<std::vector<uint64_t>> &In,
                                std::vector<std::vector<uint64_t>> &Out) const {
-  convertImpl<false>(In, Out);
+  assert(In.size() == SrcPrimes.size() && "source residue count mismatch");
+  sizeOutput(In, Out, TgtPrimes.size());
+  size_t Done = 0;
+#ifdef PORCUPINE_IFMA52
+  if (Vector)
+    Done = convertIfma(In, Out, SrcLane.data(), InvPunct.data(),
+                       InvPunctShoup.data(), InvSrcPrime.data(),
+                       TgtLane.data(), PunctModTgt, AlphaQLanes.data(),
+                       WideSums);
+#endif
+  convertScalar<false>(In, Out, Done);
 }
 
 void RnsBaseConverter::convertExact(
     const std::vector<std::vector<uint64_t>> &In,
     std::vector<std::vector<uint64_t>> &Out) const {
-  convertImpl<true>(In, Out);
+  assert(In.size() == SrcPrimes.size() && "source residue count mismatch");
+  sizeOutput(In, Out, TgtPrimes.size());
+  convertScalar<true>(In, Out, 0);
 }
 
 RnsScaleRounder::RnsScaleRounder(const CrtBasis &From, const CrtBasis &To,
-                                 uint64_t T)
+                                 uint64_t T, bool AllowVector)
     : SrcPrimes(From.primes()), TgtPrimes(To.primes()),
+      Vector(AllowVector && lanesFit(SrcPrimes, TgtPrimes)),
       InvPunct(From.invPunctured()) {
   size_t K = SrcPrimes.size();
   const BigInt &Q = To.modulus();
@@ -278,20 +483,62 @@ RnsScaleRounder::RnsScaleRounder(const CrtBasis &From, const CrtBasis &To,
     (Q - S).shiftLeft(64).divMod(Q, G, Unused);
     GFixed[A] = (static_cast<U128>(G.word(1)) << 64) | G.word(0);
   }
+
+  if (!Vector)
+    return;
+  const uint64_t Low52 = (1ull << 52) - 1;
+  uint64_t MaxSrc = *std::max_element(SrcPrimes.begin(), SrcPrimes.end());
+  for (size_t J = 0; J < K; ++J) {
+    SrcLane.emplace_back(SrcPrimes[J]);
+    FracLimbs.push_back(FracLo[J] & Low52);
+    FracLimbs.push_back(((FracLo[J] >> 52) | (FracHi[J] << 12)) & Low52);
+    FracLimbs.push_back(FracHi[J] >> 40);
+  }
+  // GFixed * 2^64 + 2^127 = GHi * 2^128 + W * 2^64 with W = GLo + 2^63: a
+  // multiple of 2^64, so limb 0 is zero.
+  GLanes.assign(32, 0);
+  for (size_t A = 0; A <= K; ++A) {
+    U128 W = static_cast<U128>(static_cast<uint64_t>(GFixed[A])) +
+             (U128(1) << 63);
+    GLanes[A] = static_cast<uint64_t>(W & ((U128(1) << 40) - 1)) << 12;
+    GLanes[16 + A] = static_cast<uint64_t>(GFixed[A] >> 64 << 24) +
+                     static_cast<uint64_t>(W >> 40);
+  }
+  // The rounded fraction, each sum's starting value, stays below
+  // sum_j p_j * F_j + G + 1/2 < K * max p_j + 2.
+  CLanes.assign(16 * TgtPrimes.size(), 0);
+  for (size_t I = 0; I < TgtPrimes.size(); ++I) {
+    TgtLane.emplace_back(TgtPrimes[I]);
+    WideSums |= TgtLane.back().lazyTerms(MaxSrc - 1, TgtPrimes[I] - 1,
+                                         K * MaxSrc + 2) < K;
+    for (size_t A = 0; A <= K; ++A)
+      CLanes[16 * I + A] = CModTgt[A][I];
+  }
 }
 
 void RnsScaleRounder::scaleAndRound(
     const std::vector<std::vector<uint64_t>> &In,
     std::vector<std::vector<uint64_t>> &Out) const {
-  size_t K = SrcPrimes.size();
-  assert(In.size() == K && "source residue count mismatch");
-  size_t N = In[0].size();
-  Out.resize(TgtPrimes.size());
-  for (auto &V : Out)
-    V.resize(N);
+  assert(In.size() == SrcPrimes.size() && "source residue count mismatch");
+  sizeOutput(In, Out, TgtPrimes.size());
+  size_t Done = 0;
+#ifdef PORCUPINE_IFMA52
+  if (Vector)
+    Done = scaleAndRoundIfma(In, Out, SrcLane.data(), InvPunct.data(),
+                             InvPunctShoup.data(), InvSrcPrime.data(),
+                             FracLimbs.data(), GLanes.data(), TgtLane.data(),
+                             IntModTgt, CLanes.data(), WideSums);
+#endif
+  scaleAndRoundScalar(In, Out, Done);
+}
 
+void RnsScaleRounder::scaleAndRoundScalar(
+    const std::vector<std::vector<uint64_t>> &In,
+    std::vector<std::vector<uint64_t>> &Out, size_t From) const {
+  size_t K = SrcPrimes.size();
+  size_t N = In[0].size();
   std::vector<uint64_t> B(K);
-  for (size_t Coeff = 0; Coeff < N; ++Coeff) {
+  for (size_t Coeff = From; Coeff < N; ++Coeff) {
     double AlphaEst = 0.0;
     U128 SumHi = 0, SumLo = 0;
     for (size_t J = 0; J < K; ++J) {

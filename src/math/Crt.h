@@ -14,6 +14,15 @@
 /// and friends) remain only for the wide-integer oracle paths and for the
 /// one-time constants of key and context setup.
 ///
+/// The fast conversion and the scale-and-round run eight coefficients at a
+/// time on AVX-512 IFMA52 lanes (math/Ifma52.h) when every prime of both
+/// bases is below 2^50, the source basis has at most 15 primes and the
+/// target at most 16 (alpha's values fit one 16-entry lane permute), and
+/// the CPU has avx512f, avx512dq and avx512ifma, as NttTables decides for
+/// its transforms. The lanes repeat the scalar
+/// code's double-precision alpha operation for operation (unfused) and
+/// compute every integer exactly, so both paths give the same words.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef PORCUPINE_MATH_CRT_H
@@ -89,8 +98,8 @@ private:
 /// Fast base conversion between RNS bases (the BEHZ/HPS building block):
 /// given the residues of x over a source basis Q = prod q_i, produces the
 /// residues of the *centered* representative [x]_Q in (-Q/2, Q/2] over a
-/// target basis — one word multiply per (source prime, target prime) pair
-/// and no wide integers.
+/// target basis — one multiply-add per (source prime, target prime) pair,
+/// one reduction per target prime, and no wide integers.
 ///
 /// The lift x = sum_i c_i * (Q/q_i) - alpha * Q needs the integer
 /// alpha = round(sum_i c_i / q_i), which convert() estimates in double
@@ -103,10 +112,14 @@ private:
 /// the value is more than ~k*2^-64 * Q away from a boundary.
 class RnsBaseConverter {
 public:
-  RnsBaseConverter(const CrtBasis &From, const CrtBasis &To);
+  /// \p AllowVector false keeps convert() scalar, the oracle its vector
+  /// path is tested against.
+  RnsBaseConverter(const CrtBasis &From, const CrtBasis &To,
+                   bool AllowVector = true);
 
   /// Converts per-source-prime residue vectors (all of length \p N equal to
-  /// In[i].size()) into per-target-prime residue vectors. Out is resized.
+  /// In[i].size(), values reduced) into per-target-prime residue vectors.
+  /// Out is resized; words it already holds are overwritten, not cleared.
   void convert(const std::vector<std::vector<uint64_t>> &In,
                std::vector<std::vector<uint64_t>> &Out) const;
 
@@ -119,9 +132,13 @@ public:
   size_t sourceCount() const { return SrcPrimes.size(); }
   size_t targetCount() const { return TgtPrimes.size(); }
 
+  /// Whether convert() runs on AVX-512 IFMA52 lanes.
+  bool vectorized() const { return Vector; }
+
 private:
   std::vector<uint64_t> SrcPrimes;
   std::vector<uint64_t> TgtPrimes;
+  bool Vector = false;
   /// InvPunct[i] = (Q/q_i)^-1 mod q_i with Shoup pair.
   std::vector<uint64_t> InvPunct;
   std::vector<uint64_t> InvPunctShoup;
@@ -136,10 +153,19 @@ private:
   /// AlphaQModTgt[a][j] = (a * Q) mod t_j for a in [0, k]; alpha of a
   /// centered lift always lands in that range.
   std::vector<std::vector<uint64_t>> AlphaQModTgt;
+  /// The vector path's constants: 52-bit Barrett constants per source and
+  /// target prime; AlphaQLanes[j * 16 + a] = AlphaQModTgt[a][j], padded to
+  /// the 16 entries of a two-register lane permute; and whether a
+  /// target's unreduced sum can leave the one-step reduction's domain.
+  std::vector<Barrett52> SrcLane, TgtLane;
+  std::vector<uint64_t> AlphaQLanes;
+  bool WideSums = false;
 
+  /// The scalar conversion of coefficients [From, N).
   template <bool Exact>
-  void convertImpl(const std::vector<std::vector<uint64_t>> &In,
-                   std::vector<std::vector<uint64_t>> &Out) const;
+  void convertScalar(const std::vector<std::vector<uint64_t>> &In,
+                     std::vector<std::vector<uint64_t>> &Out,
+                     size_t From) const;
 };
 
 /// The BFV multiply's scale-and-round in one pass: given the residues of x
@@ -165,18 +191,28 @@ private:
 /// ~k * 2^-52 error. The fractions are kept to 128 bits and summed in
 /// 64.64 fixed point, which errs by under 2^-62, so the result is exactly
 /// round(t * x / Q) unless t * x / Q sits within 2^-62 of a half-integer.
+/// That rounded sum is an exact integer function of the b_j, which the
+/// vector path reproduces in 52-bit limbs.
 class RnsScaleRounder {
 public:
-  RnsScaleRounder(const CrtBasis &From, const CrtBasis &To, uint64_t T);
+  /// \p AllowVector false keeps scaleAndRound() scalar, the oracle its
+  /// vector path is tested against.
+  RnsScaleRounder(const CrtBasis &From, const CrtBasis &To, uint64_t T,
+                  bool AllowVector = true);
 
-  /// Maps per-source-prime residue vectors of x (all of equal length) to
-  /// per-target-prime residue vectors of round(t * x / Q). Out is resized.
+  /// Maps per-source-prime residue vectors of x (all of equal length,
+  /// values reduced) to per-target-prime residue vectors of
+  /// round(t * x / Q). Out is resized.
   void scaleAndRound(const std::vector<std::vector<uint64_t>> &In,
                      std::vector<std::vector<uint64_t>> &Out) const;
+
+  /// Whether scaleAndRound() runs on AVX-512 IFMA52 lanes.
+  bool vectorized() const { return Vector; }
 
 private:
   std::vector<uint64_t> SrcPrimes;
   std::vector<uint64_t> TgtPrimes;
+  bool Vector = false;
   /// (B/p_j)^-1 mod p_j with Shoup pair, and 1.0 / p_j.
   std::vector<uint64_t> InvPunct;
   std::vector<uint64_t> InvPunctShoup;
@@ -192,6 +228,21 @@ private:
   /// GFixed[alpha] = floor(G_alpha * 2^64).
   std::vector<std::vector<uint64_t>> CModTgt;
   std::vector<unsigned __int128> GFixed;
+  /// The vector path's constants. FracLimbs[3j..3j+2] hold floor(F_j *
+  /// 2^128) in 52-bit limbs. GLanes[a] and GLanes[16 + a] hold limbs 1 and
+  /// 2 of GFixed[a] * 2^64 + 2^127 (limb 0 is zero), and
+  /// CLanes[i * 16 + a] = CModTgt[a][i], each padded for a two-register
+  /// lane permute. SrcLane, TgtLane and WideSums as in RnsBaseConverter.
+  std::vector<uint64_t> FracLimbs;
+  std::vector<uint64_t> GLanes;
+  std::vector<uint64_t> CLanes;
+  std::vector<Barrett52> SrcLane, TgtLane;
+  bool WideSums = false;
+
+  /// The scalar scale-and-round of coefficients [From, N).
+  void scaleAndRoundScalar(const std::vector<std::vector<uint64_t>> &In,
+                           std::vector<std::vector<uint64_t>> &Out,
+                           size_t From) const;
 };
 
 } // namespace porcupine

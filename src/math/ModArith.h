@@ -132,6 +132,43 @@ private:
   uint64_t R1 = 0;
 };
 
+/// The per-prime constants of the 52-bit Barrett product that the IFMA52
+/// lanes run (math/Ifma52.h). For a prime P < 2^50 of bit length L and
+/// Mu = floor(2^(51+L) / P), a value z < 2^(51+L) gets the quotient
+/// estimate floor(floor(z / 2^(L-1)) * Mu / 2^52), at most 2 below
+/// floor(z / P), so z - estimate * P < 3P < 2^52 is known from z's low 52
+/// bits and two conditional subtractions finish the reduction.
+struct Barrett52 {
+  uint64_t P = 0;
+  /// floor(2^(51 + Bits) / P): below 2^52 because P > 2^(Bits-1).
+  uint64_t Mu = 0;
+  /// 2^52 mod P.
+  uint64_t R52 = 0;
+  /// Bit length of P.
+  unsigned Bits = 0;
+
+  Barrett52() = default;
+  explicit Barrett52(uint64_t P) : P(P) {
+    assert(P > 2 && P < (1ull << 50) && "52-bit Barrett needs 2 < P < 2^50");
+    Bits = 64 - static_cast<unsigned>(__builtin_clzll(P));
+    Mu = static_cast<uint64_t>(
+        (static_cast<unsigned __int128>(1) << (51 + Bits)) / P);
+    R52 = (1ull << 52) % P;
+  }
+
+  /// How many products a * b (a <= MaxA, b <= MaxB) can be added to a base
+  /// <= MaxBase while the sum stays inside the reduction's domain
+  /// z < 2^(51 + Bits); capped at 1024, well before a 64-bit sum of low
+  /// 52-bit halves could wrap.
+  uint64_t lazyTerms(uint64_t MaxA, uint64_t MaxB, uint64_t MaxBase) const {
+    unsigned __int128 Limit = static_cast<unsigned __int128>(1) << (51 + Bits);
+    assert(MaxBase < Limit && MaxA != 0 && MaxB != 0 && "degenerate bound");
+    unsigned __int128 Terms =
+        (Limit - 1 - MaxBase) / (static_cast<unsigned __int128>(MaxA) * MaxB);
+    return Terms < 1024 ? static_cast<uint64_t>(Terms) : 1024;
+  }
+};
+
 /// Raises \p Base to \p Exp modulo \p Q by square-and-multiply.
 uint64_t powMod(uint64_t Base, uint64_t Exp, uint64_t Q);
 

@@ -6,15 +6,12 @@
 
 #include "math/Ntt.h"
 
+#include "math/Ifma52.h"
 #include "math/ModArith.h"
 #include "math/Primes.h"
 
+#include <algorithm>
 #include <cassert>
-
-#if defined(__x86_64__) && defined(__GNUC__)
-#define PORCUPINE_NTT_IFMA 1
-#include <immintrin.h>
-#endif
 
 using namespace porcupine;
 
@@ -33,73 +30,28 @@ static size_t reverseBits(size_t X, unsigned Bits) {
   return R;
 }
 
-#ifdef PORCUPINE_NTT_IFMA
+#ifdef PORCUPINE_IFMA52
 //===----------------------------------------------------------------------===//
-// AVX-512 IFMA52 butterflies
+// AVX-512 IFMA52 butterflies and kernels
 //
 // The same Harvey butterflies as the scalar transforms, eight per
 // instruction. IFMA multiplies 52-bit lane values, so the vector path needs
 // P < 2^50: lazy values stay below 4P < 2^52, and its Shoup words are
 // floor(W * 2^52 / P) = floor(W * 2^64 / P) >> 12. A 52-bit Shoup product
 // may land P above the 64-bit one, but both transforms end fully reduced,
-// so their outputs are bit-identical to the scalar ones.
-//
-// Each function enables the ISA for itself alone, so the library still
-// builds for the baseline target; NttTables runs this code only after its
-// constructor has checked the CPU.
+// so their outputs are bit-identical to the scalar ones. The pointwise
+// kernels reduce fully too (math/Ifma52.h).
 //===----------------------------------------------------------------------===//
-
-#define PORCUPINE_IFMA_TARGET __attribute__((target("avx512f,avx512ifma")))
 
 namespace {
 
-/// With all lanes set, the maskz_ intrinsic forms equal the plain ones but
-/// take no undefined pass-through operand, which GCC 12 reports under
-/// -Wmaybe-uninitialized.
-constexpr __mmask8 AllLanes = 0xff;
-
-/// Broadcast constants of one prime.
-struct IfmaPrime {
-  __m512i P, TwoP, NegP, Low52;
-};
-
-PORCUPINE_IFMA_TARGET inline IfmaPrime ifmaPrime(uint64_t P) {
-  return {_mm512_set1_epi64(static_cast<long long>(P)),
-          _mm512_set1_epi64(static_cast<long long>(2 * P)),
-          _mm512_set1_epi64(-static_cast<long long>(P)),
-          _mm512_set1_epi64((1ll << 52) - 1)};
-}
-
-/// X >= Bound ? X - Bound : X. X - Bound wraps above X exactly when
-/// X < Bound, so the unsigned minimum picks the right one.
-PORCUPINE_IFMA_TARGET inline __m512i reduceBelow(__m512i X, __m512i Bound) {
-  return _mm512_maskz_min_epu64(AllLanes, X, _mm512_sub_epi64(X, Bound));
-}
-
-/// floor(W * 2^52 / P) from the 64-bit Shoup word floor(W * 2^64 / P).
-PORCUPINE_IFMA_TARGET inline __m512i shoup52(__m512i Shoup64) {
-  return _mm512_maskz_srli_epi64(AllLanes, Shoup64, 12);
-}
-
-/// mulModShoupLazy in 52-bit lanes: X * W mod P in [0, 2P) for X < 2^52,
-/// given WShoup = floor(W * 2^52 / P).
-PORCUPINE_IFMA_TARGET inline __m512i mulShoupLazy(__m512i X, __m512i W,
-                                                  __m512i WShoup,
-                                                  const IfmaPrime &C) {
-  __m512i Zero = _mm512_setzero_si512();
-  __m512i Quot = _mm512_madd52hi_epu64(Zero, X, WShoup);
-  // X * W - Quot * P < 2P fits 52 bits, so it equals its low 52 bits:
-  // X * W + Quot * (2^52 - P) mod 2^52 (IFMA reads NegP's low 52 bits).
-  __m512i R = _mm512_madd52lo_epu64(Zero, X, W);
-  R = _mm512_madd52lo_epu64(R, Quot, C.NegP);
-  return _mm512_and_si512(R, C.Low52);
-}
+using namespace porcupine::ifma52;
 
 /// Cooley-Tukey butterfly on inputs < 4P: X, Y <- U + V, U + 2P - V with
 /// U = X reduced below 2P and V = Y * W lazily; outputs stay below 4P.
 PORCUPINE_IFMA_TARGET inline void forwardButterfly(__m512i &X, __m512i &Y,
                                                    __m512i W, __m512i WShoup,
-                                                   const IfmaPrime &C) {
+                                                   const Lanes &C) {
   __m512i U = reduceBelow(X, C.TwoP);
   __m512i V = mulShoupLazy(Y, W, WShoup, C);
   X = _mm512_add_epi64(U, V);
@@ -110,7 +62,7 @@ PORCUPINE_IFMA_TARGET inline void forwardButterfly(__m512i &X, __m512i &Y,
 /// 2P, (X + 2P - Y) * W lazily; outputs stay below 2P.
 PORCUPINE_IFMA_TARGET inline void inverseButterfly(__m512i &X, __m512i &Y,
                                                    __m512i W, __m512i WShoup,
-                                                   const IfmaPrime &C) {
+                                                   const Lanes &C) {
   __m512i Diff = _mm512_sub_epi64(_mm512_add_epi64(X, C.TwoP), Y);
   X = reduceBelow(_mm512_add_epi64(X, Y), C.TwoP);
   Y = mulShoupLazy(Diff, W, WShoup, C);
@@ -123,7 +75,7 @@ template <bool Forward>
 PORCUPINE_IFMA_TARGET void wideStage(uint64_t *X, size_t N, size_t T,
                                      const uint64_t *Tw,
                                      const uint64_t *TwShoup,
-                                     const IfmaPrime &C) {
+                                     const Lanes &C) {
   for (size_t I = 0; I < N / (2 * T); ++I) {
     __m512i W = _mm512_set1_epi64(static_cast<long long>(Tw[I]));
     __m512i WShoup =
@@ -152,7 +104,7 @@ template <unsigned T, bool Forward>
 PORCUPINE_IFMA_TARGET void narrowStage(uint64_t *X, size_t N,
                                        const uint64_t *Tw,
                                        const uint64_t *TwShoup,
-                                       const IfmaPrime &C) {
+                                       const Lanes &C) {
   static_assert(T == 1 || T == 2 || T == 4, "narrow stages span 1, 2 or 4");
   constexpr unsigned TwPerStep = 8 / T;
   alignas(64) long long First[8], Second[8], TwLane[8], OutLo[8], OutHi[8];
@@ -199,10 +151,10 @@ PORCUPINE_IFMA_TARGET void narrowStage(uint64_t *X, size_t N,
 }
 
 /// NttTables::forwardTransform's butterflies and final reduction; N >= 16.
-PORCUPINE_IFMA_TARGET void forwardIfma(uint64_t *X, size_t N, uint64_t P,
-                                       const uint64_t *Tw,
+PORCUPINE_IFMA_TARGET void forwardIfma(uint64_t *X, size_t N,
+                                       const Barrett52 &B, const uint64_t *Tw,
                                        const uint64_t *TwShoup) {
-  IfmaPrime C = ifmaPrime(P);
+  Lanes C = lanes(B);
   // Stage M (M = 1, 2, 4, ...) spans T = N / 2M and uses twiddles
   // Tw[M, 2M).
   for (size_t M = 1; M <= N / 16; M <<= 1)
@@ -218,11 +170,11 @@ PORCUPINE_IFMA_TARGET void forwardIfma(uint64_t *X, size_t N, uint64_t P,
 }
 
 /// NttTables::inverseTransform's butterflies and 1/N scaling; N >= 16.
-PORCUPINE_IFMA_TARGET void inverseIfma(uint64_t *X, size_t N, uint64_t P,
-                                       const uint64_t *Tw,
+PORCUPINE_IFMA_TARGET void inverseIfma(uint64_t *X, size_t N,
+                                       const Barrett52 &B, const uint64_t *Tw,
                                        const uint64_t *TwShoup, uint64_t NInv,
                                        uint64_t NInvShoup) {
-  IfmaPrime C = ifmaPrime(P);
+  Lanes C = lanes(B);
   // Stage T (T = 1, 2, 4, ...) uses twiddles Tw[H, 2H) with H = N / 2T.
   narrowStage<1, false>(X, N, Tw + N / 2, TwShoup + N / 2, C);
   narrowStage<2, false>(X, N, Tw + N / 4, TwShoup + N / 4, C);
@@ -238,14 +190,87 @@ PORCUPINE_IFMA_TARGET void inverseIfma(uint64_t *X, size_t N, uint64_t P,
   }
 }
 
-bool cpuHasIfma() {
-  __builtin_cpu_init();
-  return __builtin_cpu_supports("avx512f") &&
-         __builtin_cpu_supports("avx512ifma");
+/// NttTables::mulPointwise (Base null) and mulAddPointwise (Base = Out).
+PORCUPINE_IFMA_TARGET void mulIfma(const uint64_t *X, const uint64_t *Y,
+                                   const uint64_t *Base, uint64_t *Out,
+                                   size_t N, const Barrett52 &B) {
+  Lanes C = lanes(B);
+  for (size_t J = 0; J < N; J += 8) {
+    __m512i Acc = Base ? load(Base + J) : _mm512_setzero_si512();
+    store(Out + J, mulAddMod(load(X + J), load(Y + J), Acc, C));
+  }
+}
+
+/// NttTables::mulScalar: X[j] * W by the 52-bit Shoup product.
+PORCUPINE_IFMA_TARGET void mulScalarIfma(const uint64_t *X, uint64_t W,
+                                         uint64_t WShoup64, uint64_t *Out,
+                                         size_t N, const Barrett52 &B) {
+  Lanes C = lanes(B);
+  __m512i WV = splat(W), WShoup = shoup52(splat(WShoup64));
+  for (size_t J = 0; J < N; J += 8)
+    store(Out + J,
+          reduceBelow(mulShoupLazy(load(X + J), WV, WShoup, C), C.P));
+}
+
+enum class LaneOp { Add, Sub, Negate };
+
+/// NttTables::addPointwise, subPointwise and negatePointwise.
+template <LaneOp Op>
+PORCUPINE_IFMA_TARGET void addSubIfma(const uint64_t *X, const uint64_t *Y,
+                                      uint64_t *Out, size_t N,
+                                      const Barrett52 &B) {
+  Lanes C = lanes(B);
+  for (size_t J = 0; J < N; J += 8) {
+    __m512i V = load(X + J);
+    if (Op == LaneOp::Add)
+      V = addMod(V, load(Y + J), C);
+    else if (Op == LaneOp::Sub)
+      V = subMod(V, load(Y + J), C);
+    else
+      V = negMod(V, C);
+    store(Out + J, V);
+  }
+}
+
+/// NttTables::keySwitchInnerProduct. Each slot sums low and high product
+/// halves of up to Chunk digits onto its running residue, then reduces.
+template <bool Permuted>
+PORCUPINE_IFMA_TARGET void
+keySwitchIfma(size_t N, size_t Digits, size_t Chunk, const uint64_t *const *X,
+              const uint64_t *const *K0, const uint64_t *const *K1,
+              const uint32_t *Perm, const uint64_t *C0, uint64_t *Acc0,
+              uint64_t *Acc1, const Barrett52 &B) {
+  Lanes C = lanes(B);
+  __m512i Zero = _mm512_setzero_si512();
+  __m256i Idx = _mm256_setzero_si256();
+  for (size_t J = 0; J < N; J += 8) {
+    if (Permuted)
+      Idx = _mm256_loadu_si256(reinterpret_cast<const __m256i *>(Perm + J));
+    __m512i Lo0 = !C0 ? load(Acc0 + J) : Permuted ? gather(C0, Idx)
+                                                  : load(C0 + J);
+    __m512i Lo1 = load(Acc1 + J);
+    __m512i Hi0 = Zero, Hi1 = Zero;
+    for (size_t D = 0, Left = Chunk; D < Digits; ++D, --Left) {
+      if (Left == 0) {
+        Lo0 = barrettReduce(Lo0, Hi0, C);
+        Lo1 = barrettReduce(Lo1, Hi1, C);
+        Hi0 = Hi1 = Zero;
+        Left = Chunk;
+      }
+      __m512i V = Permuted ? gather(X[D], Idx) : load(X[D] + J);
+      __m512i W0 = load(K0[D] + J), W1 = load(K1[D] + J);
+      Lo0 = _mm512_madd52lo_epu64(Lo0, V, W0);
+      Hi0 = _mm512_madd52hi_epu64(Hi0, V, W0);
+      Lo1 = _mm512_madd52lo_epu64(Lo1, V, W1);
+      Hi1 = _mm512_madd52hi_epu64(Hi1, V, W1);
+    }
+    store(Acc0 + J, barrettReduce(Lo0, Hi0, C));
+    store(Acc1 + J, barrettReduce(Lo1, Hi1, C));
+  }
 }
 
 } // namespace
-#endif // PORCUPINE_NTT_IFMA
+#endif // PORCUPINE_IFMA52
 
 NttTables::NttTables(size_t N, uint64_t P, bool AllowVector)
     : N(N), P(P), Red(P) {
@@ -271,8 +296,15 @@ NttTables::NttTables(size_t N, uint64_t P, bool AllowVector)
   }
   NInv = invMod(N % P, P);
   NInvShoup = shoupPrecompute(NInv, P);
-#ifdef PORCUPINE_NTT_IFMA
-  Vector = AllowVector && P < (1ull << 50) && N >= 16 && cpuHasIfma();
+#ifdef PORCUPINE_IFMA52
+  Vector = AllowVector && P < (1ull << 50) && N >= 16 &&
+           ifma52::cpuSupported();
+  if (Vector) {
+    Lane = Barrett52(P);
+    // The first digit's sum starts from a residue below P.
+    LaneDigits = Lane.lazyTerms(P - 1, P - 1, P - 1);
+    assert(LaneDigits >= 2 && "a lane sum holds at least two products");
+  }
 #else
   (void)AllowVector;
 #endif
@@ -280,9 +312,9 @@ NttTables::NttTables(size_t N, uint64_t P, bool AllowVector)
 
 void NttTables::forwardTransform(std::vector<uint64_t> &Values) const {
   assert(Values.size() == N && "length mismatch");
-#ifdef PORCUPINE_NTT_IFMA
+#ifdef PORCUPINE_IFMA52
   if (Vector)
-    return forwardIfma(Values.data(), N, P, PsiBitRev.data(),
+    return forwardIfma(Values.data(), N, Lane, PsiBitRev.data(),
                        PsiBitRevShoup.data());
 #endif
   // Cooley-Tukey butterflies with the negacyclic twist absorbed into the
@@ -320,9 +352,9 @@ void NttTables::forwardTransform(std::vector<uint64_t> &Values) const {
 
 void NttTables::inverseTransform(std::vector<uint64_t> &Values) const {
   assert(Values.size() == N && "length mismatch");
-#ifdef PORCUPINE_NTT_IFMA
+#ifdef PORCUPINE_IFMA52
   if (Vector)
-    return inverseIfma(Values.data(), N, P, InvPsiBitRev.data(),
+    return inverseIfma(Values.data(), N, Lane, InvPsiBitRev.data(),
                        InvPsiBitRevShoup.data(), NInv, NInvShoup);
 #endif
   // Gentleman-Sande butterflies, lazy: values stay below 2P throughout and
@@ -360,10 +392,106 @@ NttTables::multiply(const std::vector<uint64_t> &A,
   std::vector<uint64_t> FA = A, FB = B;
   forwardTransform(FA);
   forwardTransform(FB);
-  for (size_t I = 0; I < N; ++I)
-    FA[I] = Red.mulMod(FA[I], FB[I]);
+  mulPointwise(FA.data(), FB.data(), FA.data());
   inverseTransform(FA);
   return FA;
+}
+
+void NttTables::mulPointwise(const uint64_t *X, const uint64_t *Y,
+                             uint64_t *Out) const {
+#ifdef PORCUPINE_IFMA52
+  if (Vector)
+    return mulIfma(X, Y, nullptr, Out, N, Lane);
+#endif
+  for (size_t J = 0; J < N; ++J)
+    Out[J] = Red.mulMod(X[J], Y[J]);
+}
+
+void NttTables::mulAddPointwise(const uint64_t *X, const uint64_t *Y,
+                                uint64_t *Out) const {
+#ifdef PORCUPINE_IFMA52
+  if (Vector)
+    return mulIfma(X, Y, Out, Out, N, Lane);
+#endif
+  for (size_t J = 0; J < N; ++J)
+    Out[J] = Red.reduce(static_cast<unsigned __int128>(X[J]) * Y[J] + Out[J]);
+}
+
+void NttTables::mulScalar(const uint64_t *X, uint64_t W, uint64_t *Out) const {
+  uint64_t WShoup = shoupPrecompute(W, P);
+#ifdef PORCUPINE_IFMA52
+  if (Vector)
+    return mulScalarIfma(X, W, WShoup, Out, N, Lane);
+#endif
+  for (size_t J = 0; J < N; ++J)
+    Out[J] = mulModShoup(X[J], W, WShoup, P);
+}
+
+void NttTables::addPointwise(const uint64_t *X, const uint64_t *Y,
+                             uint64_t *Out) const {
+#ifdef PORCUPINE_IFMA52
+  if (Vector)
+    return addSubIfma<LaneOp::Add>(X, Y, Out, N, Lane);
+#endif
+  for (size_t J = 0; J < N; ++J)
+    Out[J] = addMod(X[J], Y[J], P);
+}
+
+void NttTables::subPointwise(const uint64_t *X, const uint64_t *Y,
+                             uint64_t *Out) const {
+#ifdef PORCUPINE_IFMA52
+  if (Vector)
+    return addSubIfma<LaneOp::Sub>(X, Y, Out, N, Lane);
+#endif
+  for (size_t J = 0; J < N; ++J)
+    Out[J] = subMod(X[J], Y[J], P);
+}
+
+void NttTables::negatePointwise(const uint64_t *X, uint64_t *Out) const {
+#ifdef PORCUPINE_IFMA52
+  if (Vector)
+    return addSubIfma<LaneOp::Negate>(X, nullptr, Out, N, Lane);
+#endif
+  for (size_t J = 0; J < N; ++J)
+    Out[J] = negMod(X[J], P);
+}
+
+void NttTables::keySwitchInnerProduct(size_t Digits, const uint64_t *const *X,
+                                      const uint64_t *const *K0,
+                                      const uint64_t *const *K1,
+                                      const uint32_t *Perm, const uint64_t *C0,
+                                      uint64_t *Acc0, uint64_t *Acc1) const {
+  assert(Digits > 0 && "key switching needs at least one digit");
+#ifdef PORCUPINE_IFMA52
+  if (Vector)
+    return Perm ? keySwitchIfma<true>(N, Digits, LaneDigits, X, K0, K1, Perm,
+                                      C0, Acc0, Acc1, Lane)
+                : keySwitchIfma<false>(N, Digits, LaneDigits, X, K0, K1,
+                                       nullptr, C0, Acc0, Acc1, Lane);
+#endif
+  // Lazy reduction: sum the digits' 128-bit products unreduced and reduce
+  // once per slot. A product is at most (P-1)^2, which bounds how many can
+  // be summed without overflow (at least 16 for any P < 2^62).
+  unsigned __int128 MaxProduct =
+      static_cast<unsigned __int128>(P - 1) * (P - 1);
+  size_t Chunk = static_cast<size_t>(std::min<unsigned __int128>(
+      ~static_cast<unsigned __int128>(0) / MaxProduct, Digits));
+  for (size_t First = 0; First < Digits; First += Chunk) {
+    size_t Last = std::min(First + Chunk, Digits);
+    // The first chunk starts c0's sum from the permuted C0 when given.
+    const uint64_t *Base0 = First == 0 && C0 ? C0 : nullptr;
+    for (size_t J = 0; J < N; ++J) {
+      size_t From = Perm ? Perm[J] : J;
+      unsigned __int128 S0 = 0, S1 = 0;
+      for (size_t D = First; D < Last; ++D) {
+        uint64_t V = X[D][From];
+        S0 += static_cast<unsigned __int128>(V) * K0[D][J];
+        S1 += static_cast<unsigned __int128>(V) * K1[D][J];
+      }
+      Acc0[J] = addMod(Base0 ? Base0[From] : Acc0[J], Red.reduce(S0), P);
+      Acc1[J] = addMod(Acc1[J], Red.reduce(S1), P);
+    }
+  }
 }
 
 std::vector<uint32_t> porcupine::nttGaloisPermutation(size_t N, uint64_t Elt) {

@@ -102,10 +102,8 @@ uint64_t porcupine::testSeed(uint64_t Offset) { return testSeedBase() + Offset; 
 int64_t Rng::centeredError() {
   // Sum of 42 fair bits minus 21: binomial approximation of a discrete
   // Gaussian with sigma = sqrt(42)/2 ~= 3.24, matching the HE-standard
-  // error parameter sigma = 3.2.
-  uint64_t Bits = next();
-  int64_t Sum = 0;
-  for (int I = 0; I < 42; ++I)
-    Sum += (Bits >> I) & 1;
-  return Sum - 21;
+  // error parameter sigma = 3.2. The sum is the population count of the
+  // low 42 bits of one draw.
+  uint64_t Bits = next() & ((uint64_t(1) << 42) - 1);
+  return static_cast<int64_t>(__builtin_popcountll(Bits)) - 21;
 }

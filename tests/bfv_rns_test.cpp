@@ -367,17 +367,12 @@ TEST_F(RnsFixture, HoistedRotationsMatchPerStepRotation) {
   }
 }
 
-TEST(KeySwitchInnerProduct, ManyWideDigitsReduceInChunks) {
-  // 62-bit primes with 1-bit digits give 124 gadget digits per switch:
-  // far more 128-bit products per slot than fit in one unreduced sum, so
-  // the inner product must reduce in chunks. Relinearization and rotation
-  // must still decrypt exactly.
-  BfvParams Params;
-  Params.PolyDegree = 1024;
-  Params.CoeffPrimeBits = {62, 62};
-  Params.DecompWidth = 1;
+/// Relinearization and rotation on a context whose gadget has many digits
+/// must still decrypt exactly.
+static void expectManyDigitSwitchesDecrypt(const BfvParams &Params,
+                                           size_t MinDigits) {
   BfvContext Ctx(Params);
-  ASSERT_GT(Ctx.rnsGadget().size(), 64u);
+  ASSERT_GT(Ctx.rnsGadget().size(), MinDigits);
   uint64_t Seed = testSeed(3);
   SeedReporter Report(Seed);
   Rng R(Seed);
@@ -402,6 +397,27 @@ TEST(KeySwitchInnerProduct, ManyWideDigitsReduceInChunks) {
             UV);
   EXPECT_EQ(Encoder.decode(Dec.decrypt(Eval.rotateRows(CtU, 1, Gk))),
             rotatedRows(U, 1));
+}
+
+TEST(KeySwitchInnerProduct, ManyWideDigitsReduceInChunks) {
+  // 62-bit primes with 1-bit digits give 124 gadget digits per switch:
+  // far more 128-bit products per slot than fit in one unreduced sum, so
+  // the scalar inner product must reduce in chunks.
+  BfvParams Params;
+  Params.PolyDegree = 1024;
+  Params.CoeffPrimeBits = {62, 62};
+  Params.DecompWidth = 1;
+  expectManyDigitSwitchesDecrypt(Params, 64);
+}
+
+TEST(KeySwitchInnerProduct, ManyLaneDigitsReduceInChunks) {
+  // 49-bit primes take the vector path where the CPU has IFMA52; 2-bit
+  // digits give 50 gadget digits, and one unreduced lane sum holds three.
+  BfvParams Params;
+  Params.PolyDegree = 1024;
+  Params.CoeffPrimeBits = {49, 49};
+  Params.DecompWidth = 2;
+  expectManyDigitSwitchesDecrypt(Params, 48);
 }
 
 TEST_F(RnsFixture, DecryptorsAgreeByteForByte) {

@@ -14,6 +14,9 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <string>
+
 using namespace porcupine;
 
 namespace {
@@ -266,23 +269,32 @@ static void expectMatchesScalar(const NttTables &Tables, Rng &R) {
 }
 
 /// Whether this CPU runs the vector path (it does for any P < 2^50 and
-/// N >= 16 when it has avx512f and avx512ifma).
+/// N >= 16 when it has avx512f, avx512dq and avx512ifma).
 static bool hostRunsVectorNtt() {
   return NttTables(16, generateNttPrime(49, 32)).vectorized();
+}
+
+/// Calls \p Visit on every table of every standardParams() rung:
+/// coefficient, auxiliary and plain.
+template <typename VisitFn> static void forEachServingTable(VisitFn Visit) {
+  for (const BfvParams &Params : BfvContext::standardParams()) {
+    BfvContext Ctx(Params);
+    for (const NttTables &Tables : Ctx.coeffNtt())
+      Visit(Tables);
+    for (const NttTables &Tables : Ctx.auxNtt())
+      Visit(Tables);
+    Visit(Ctx.plainNtt());
+  }
 }
 
 TEST(NttVector, MatchesScalarOnEveryServingPrime) {
   if (!hostRunsVectorNtt())
     GTEST_SKIP() << "no avx512ifma";
+  // expectMatchesScalar asserts that each table runs vectorized, so a
+  // prime that drifts to 2^50 cannot turn a rung scalar unnoticed.
   Rng R(10);
-  for (unsigned Depth = 0; Depth <= 4; ++Depth) {
-    BfvContext Ctx = BfvContext::forMultDepth(Depth);
-    for (const NttTables &Tables : Ctx.coeffNtt())
-      expectMatchesScalar(Tables, R);
-    for (const NttTables &Tables : Ctx.auxNtt())
-      expectMatchesScalar(Tables, R);
-    expectMatchesScalar(Ctx.plainNtt(), R);
-  }
+  forEachServingTable(
+      [&](const NttTables &Tables) { expectMatchesScalar(Tables, R); });
 }
 
 TEST(NttVector, MatchesScalarAt49BitPrime) {
@@ -297,13 +309,304 @@ TEST(NttVector, AuxiliaryBasisFitsTheVectorPath) {
   // The multiply's auxiliary transforms take the vector path only if every
   // auxiliary prime is below 2^50, and the tensor stays exact only while
   // the auxiliary modulus exceeds 2^8 * N * Q^2 (see makeAuxBasis).
-  for (unsigned Depth = 0; Depth <= 4; ++Depth) {
-    BfvContext Ctx = BfvContext::forMultDepth(Depth);
+  for (const BfvParams &Params : BfvContext::standardParams()) {
+    BfvContext Ctx(Params);
+    std::string Rung = std::to_string(Params.PolyDegree) + "/" +
+                       std::to_string(Params.coeffModulusBits());
     for (uint64_t P : Ctx.auxBasis().primes())
-      EXPECT_LT(P, 1ull << 50) << "depth " << Depth;
+      EXPECT_LT(P, 1ull << 50) << Rung;
     const BigInt &Q = Ctx.coeffModulus();
     BigInt Bound = (Q * Q).mulWord(Ctx.polyDegree()).shiftLeft(8);
-    EXPECT_GT(Ctx.auxBasis().modulus(), Bound) << "depth " << Depth;
+    EXPECT_GT(Ctx.auxBasis().modulus(), Bound) << Rung;
+  }
+}
+
+//===----------------------------------------------------------------------===//
+// Vector pointwise kernels and converters
+//===----------------------------------------------------------------------===//
+
+/// N random residues in the top 1/64 of [0, P): their products and sums
+/// sit near the top of the lanes' reduction domain, where its quotient
+/// estimate falls furthest short.
+static std::vector<uint64_t> nearTop(size_t N, uint64_t P, Rng &R) {
+  std::vector<uint64_t> V = R.vectorBelow(P / 64, N);
+  for (auto &X : V)
+    X = P - 1 - X;
+  return V;
+}
+
+/// Vectors of N reduced residues: random, all 0, all P - 1, near P.
+static std::vector<std::vector<uint64_t>> laneInputs(size_t N, uint64_t P,
+                                                     Rng &R) {
+  return {R.vectorBelow(P, N), std::vector<uint64_t>(N, 0),
+          std::vector<uint64_t>(N, P - 1), nearTop(N, P, R)};
+}
+
+/// Runs every pointwise kernel of \p Tables and of the scalar oracle for
+/// the same (N, P) on every pair of laneInputs(), in place as RingPoly runs
+/// them, and expects identical outputs.
+static void expectKernelsMatchScalar(const NttTables &Tables, Rng &R) {
+  size_t N = Tables.size();
+  uint64_t P = Tables.modulus();
+  ASSERT_TRUE(Tables.vectorized()) << "N=" << N << " P=" << P;
+  NttTables Scalar(N, P, /*AllowVector=*/false);
+  auto Inputs = laneInputs(N, P, R);
+  for (const auto &X : Inputs) {
+    for (const auto &Y : Inputs) {
+      using Kernel =
+          std::function<void(const NttTables &, std::vector<uint64_t> &)>;
+      auto Expect = [&](const char *Name, const std::vector<uint64_t> &Start,
+                        const Kernel &Run) {
+        std::vector<uint64_t> Got = Start, Want = Start;
+        Run(Tables, Got);
+        Run(Scalar, Want);
+        EXPECT_EQ(Got, Want) << Name << " N=" << N << " P=" << P
+                             << " x[0]=" << X[0] << " y[0]=" << Y[0];
+      };
+      Expect("mul", X, [&](const NttTables &T, std::vector<uint64_t> &O) {
+        T.mulPointwise(O.data(), Y.data(), O.data());
+      });
+      Expect("mul-add", Y, [&](const NttTables &T, std::vector<uint64_t> &O) {
+        T.mulAddPointwise(X.data(), X.data(), O.data());
+      });
+      Expect("mul-scalar", X,
+             [&](const NttTables &T, std::vector<uint64_t> &O) {
+               T.mulScalar(O.data(), Y[0], O.data());
+             });
+      Expect("add", X, [&](const NttTables &T, std::vector<uint64_t> &O) {
+        T.addPointwise(O.data(), Y.data(), O.data());
+      });
+      Expect("sub", X, [&](const NttTables &T, std::vector<uint64_t> &O) {
+        T.subPointwise(O.data(), Y.data(), O.data());
+      });
+      Expect("negate", X, [&](const NttTables &T, std::vector<uint64_t> &O) {
+        T.negatePointwise(O.data(), O.data());
+      });
+    }
+  }
+}
+
+/// Runs the key-switch inner product of \p Tables and of the scalar oracle
+/// over \p Digits digits, with and without a Galois permutation and a c0
+/// to permute, on random residues, on residues near P and with every
+/// operand at P - 1 (the largest unreduced sums), and expects identical
+/// accumulators.
+static void expectKeySwitchMatchesScalar(const NttTables &Tables,
+                                         size_t Digits, Rng &R) {
+  size_t N = Tables.size();
+  uint64_t P = Tables.modulus();
+  ASSERT_TRUE(Tables.vectorized()) << "N=" << N << " P=" << P;
+  NttTables Scalar(N, P, /*AllowVector=*/false);
+  std::vector<uint32_t> Rotation = nttGaloisPermutation(N, 3);
+  std::vector<uint32_t> Swap = nttGaloisPermutation(N, 2 * N - 1);
+  for (int Extreme : {0, 1, 2}) {
+    auto Vec = [&] {
+      return Extreme == 0   ? R.vectorBelow(P, N)
+             : Extreme == 1 ? nearTop(N, P, R)
+                            : std::vector<uint64_t>(N, P - 1);
+    };
+    std::vector<std::vector<uint64_t>> X, K0, K1;
+    for (size_t D = 0; D < Digits; ++D) {
+      X.push_back(Vec());
+      K0.push_back(Vec());
+      K1.push_back(Vec());
+    }
+    std::vector<const uint64_t *> XP, K0P, K1P;
+    for (size_t D = 0; D < Digits; ++D) {
+      XP.push_back(X[D].data());
+      K0P.push_back(K0[D].data());
+      K1P.push_back(K1[D].data());
+    }
+    std::vector<uint64_t> C0 = Vec(), Start0 = Vec(), Start1 = Vec();
+    const uint32_t *Perms[] = {nullptr, Rotation.data(), Swap.data()};
+    const uint64_t *Bases[] = {nullptr, C0.data()};
+    for (const uint32_t *Perm : Perms) {
+      for (const uint64_t *Base : Bases) {
+        std::vector<uint64_t> Got0 = Start0, Got1 = Start1;
+        std::vector<uint64_t> Want0 = Start0, Want1 = Start1;
+        Tables.keySwitchInnerProduct(Digits, XP.data(), K0P.data(),
+                                     K1P.data(), Perm, Base, Got0.data(),
+                                     Got1.data());
+        Scalar.keySwitchInnerProduct(Digits, XP.data(), K0P.data(),
+                                     K1P.data(), Perm, Base, Want0.data(),
+                                     Want1.data());
+        EXPECT_EQ(Got0, Want0) << "digits=" << Digits << " P=" << P
+                               << " extreme=" << Extreme
+                               << " permuted=" << (Perm != nullptr)
+                               << " c0=" << (Base != nullptr);
+        EXPECT_EQ(Got1, Want1) << "digits=" << Digits << " P=" << P
+                               << " extreme=" << Extreme
+                               << " permuted=" << (Perm != nullptr);
+      }
+    }
+  }
+}
+
+TEST(PointwiseVector, MatchesScalarOnEveryServingTable) {
+  if (!hostRunsVectorNtt())
+    GTEST_SKIP() << "no avx512ifma";
+  Rng R(12);
+  forEachServingTable(
+      [&](const NttTables &Tables) { expectKernelsMatchScalar(Tables, R); });
+}
+
+TEST(PointwiseVector, KeySwitchMatchesScalarOnEveryServingTable) {
+  if (!hostRunsVectorNtt())
+    GTEST_SKIP() << "no avx512ifma";
+  // One digit, and five: the most any standardParams() rung switches over.
+  Rng R(13);
+  forEachServingTable([&](const NttTables &Tables) {
+    expectKeySwitchMatchesScalar(Tables, 1, R);
+    expectKeySwitchMatchesScalar(Tables, 5, R);
+  });
+}
+
+TEST(PointwiseVector, KeySwitchReducesManyDigitsInChunks) {
+  if (!hostRunsVectorNtt())
+    GTEST_SKIP() << "no avx512ifma";
+  // Two 49-bit primes split into 2-bit digits give 50 digits: far more
+  // products than one unreduced lane sum holds (three at 49 bits), so the
+  // vector inner product reduces in chunks, as the scalar one does past 16
+  // products at 62 bits.
+  Rng R(14);
+  std::vector<uint64_t> Primes;
+  for (int I = 0; I < 2; ++I)
+    Primes.push_back(generateNttPrime(49, 2048, Primes));
+  for (uint64_t P : Primes)
+    expectKeySwitchMatchesScalar(NttTables(1024, P), 50, R);
+}
+
+TEST(PointwiseVector, MatchesScalarWhereTheQuotientFallsShortest) {
+  if (!hostRunsVectorNtt())
+    GTEST_SKIP() << "no avx512ifma";
+  // The lanes' quotient estimate falls 2 short only when P sits just above
+  // 2^(L-1), mu = floor(2^(51+L) / P) drops at least half a unit, and the
+  // value nears 2^(51+L): near-top products at L = 50 and near-top sums of
+  // a full chunk of digits at L = 46 (7 and 127 digits) need both
+  // conditional subtractions in a fair share of their slots.
+  Rng R(17);
+  for (unsigned L : {46u, 50u}) {
+    auto MuDropsHalf = [L](uint64_t P) {
+      return 2 * ((static_cast<unsigned __int128>(1) << (51 + L)) % P) >= P;
+    };
+    uint64_t P = (1ull << (L - 1)) + 1;
+    while (!isPrime(P) || !MuDropsHalf(P))
+      P += 2048;
+    NttTables Tables(1024, P);
+    expectKernelsMatchScalar(Tables, R);
+    expectKeySwitchMatchesScalar(Tables, 150, R);
+  }
+}
+
+/// Residue vectors, over \p Basis, of \p Values (canonical, in [0, M)).
+static std::vector<std::vector<uint64_t>>
+residuesOf(const CrtBasis &Basis, const std::vector<BigInt> &Values) {
+  std::vector<std::vector<uint64_t>> Out(Basis.count());
+  for (const BigInt &V : Values) {
+    std::vector<uint64_t> Res = Basis.decompose(V);
+    for (size_t I = 0; I < Basis.count(); ++I)
+      Out[I].push_back(Res[I]);
+  }
+  return Out;
+}
+
+/// M/2 + D for small D of either sign, and D and M - 1 - D, the
+/// boundaries of a centered lift's alpha, plus random words.
+static std::vector<BigInt> liftBoundaryValues(const BigInt &M, Rng &R) {
+  std::vector<BigInt> Values;
+  BigInt Half = M.shiftRight(1);
+  for (uint64_t D = 0; D < 8; ++D) {
+    Values.push_back(Half + BigInt::fromU64(D));
+    Values.push_back(Half - BigInt::fromU64(D + 1));
+    Values.push_back(BigInt::fromU64(D));
+    Values.push_back(M - BigInt::fromU64(D + 1));
+  }
+  for (int I = 0; I < 29; ++I) {
+    BigInt V = BigInt::fromU64(R.next());
+    for (unsigned W = 1; W * 64 < M.bitLength(); ++W)
+      V = V.shiftLeft(64) + BigInt::fromU64(R.next());
+    BigInt Quot, Rem;
+    V.divMod(M, Quot, Rem);
+    Values.push_back(Rem);
+  }
+  return Values;
+}
+
+TEST(ConverterVector, FastConversionMatchesScalarAtLiftBoundaries) {
+  if (!hostRunsVectorNtt())
+    GTEST_SKIP() << "no avx512ifma";
+  // 61 values: eight-coefficient steps and a scalar tail of five.
+  Rng R(15);
+  for (const BfvParams &Params : BfvContext::standardParams()) {
+    BfvContext Ctx(Params);
+    RnsBaseConverter Scalar(Ctx.coeffBasis(), Ctx.auxBasis(),
+                            /*AllowVector=*/false);
+    ASSERT_FALSE(Scalar.vectorized());
+    ASSERT_TRUE(Ctx.coeffToAux().vectorized());
+    auto In = residuesOf(Ctx.coeffBasis(),
+                         liftBoundaryValues(Ctx.coeffModulus(), R));
+    std::vector<std::vector<uint64_t>> Got, Want;
+    Ctx.coeffToAux().convert(In, Got);
+    Scalar.convert(In, Want);
+    EXPECT_EQ(Got, Want) << "N=" << Params.PolyDegree
+                         << " log2 Q=" << Params.coeffModulusBits();
+  }
+  // Fifteen 49-bit source primes (the most the lanes take) onto 49-bit
+  // targets: a target's unreduced sum outgrows the one-step reduction in
+  // about a third of the slots, which the serving rungs never do.
+  std::vector<uint64_t> Src, Tgt;
+  for (int I = 0; I < 15; ++I)
+    Src.push_back(generateNttPrime(49, 2048, Src));
+  std::vector<uint64_t> Exclude = Src;
+  for (int I = 0; I < 3; ++I) {
+    Tgt.push_back(generateNttPrime(49, 2048, Exclude));
+    Exclude.push_back(Tgt.back());
+  }
+  CrtBasis SrcBasis(Src), TgtBasis(Tgt);
+  RnsBaseConverter Vector(SrcBasis, TgtBasis);
+  RnsBaseConverter Scalar(SrcBasis, TgtBasis, /*AllowVector=*/false);
+  ASSERT_TRUE(Vector.vectorized());
+  auto In = residuesOf(SrcBasis, liftBoundaryValues(SrcBasis.modulus(), R));
+  std::vector<std::vector<uint64_t>> Got, Want;
+  Vector.convert(In, Got);
+  Scalar.convert(In, Want);
+  EXPECT_EQ(Got, Want) << "fifteen 49-bit sources";
+}
+
+TEST(ConverterVector, ScaleAndRoundMatchesScalarAtRoundingBoundaries) {
+  if (!hostRunsVectorNtt())
+    GTEST_SKIP() << "no avx512ifma";
+  // Tensor coefficients x centered in the auxiliary basis B: at the lift
+  // boundaries of B, and where t * x / Q is within a few units of a
+  // half-integer, on both signs.
+  Rng R(16);
+  for (const BfvParams &Params : BfvContext::standardParams()) {
+    BfvContext Ctx(Params);
+    const BigInt &B = Ctx.auxBasis().modulus();
+    const BigInt &Q = Ctx.coeffModulus();
+    uint64_t T = Ctx.plainModulus();
+    RnsScaleRounder Scalar(Ctx.auxBasis(), Ctx.coeffBasis(), T,
+                           /*AllowVector=*/false);
+    ASSERT_FALSE(Scalar.vectorized());
+    ASSERT_TRUE(Ctx.auxScaleToCoeff().vectorized());
+    std::vector<BigInt> Values = liftBoundaryValues(B, R);
+    for (int I = 0; I < 24; ++I) {
+      // (2m + 1) * Q / 2t for m up to 2^40 stays far below B/2.
+      BigInt Quot, Rem;
+      Q.mulWord(2 * (R.next() >> 24) + 1).divMod(BigInt::fromU64(2 * T), Quot,
+                                                 Rem);
+      for (uint64_t D : {0, 1, 2}) {
+        BigInt X = Quot + BigInt::fromU64(D);
+        Values.push_back(X);
+        Values.push_back(B - X);
+      }
+    }
+    auto In = residuesOf(Ctx.auxBasis(), Values);
+    std::vector<std::vector<uint64_t>> Got, Want;
+    Ctx.auxScaleToCoeff().scaleAndRound(In, Got);
+    Scalar.scaleAndRound(In, Want);
+    EXPECT_EQ(Got, Want) << "N=" << Params.PolyDegree
+                         << " log2 Q=" << Params.coeffModulusBits();
   }
 }
 
