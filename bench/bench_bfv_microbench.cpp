@@ -6,11 +6,12 @@
 ///
 /// \file
 /// Times every evaluator primitive the cost model prices (add, multiply,
-/// relinearize, rotate, ...) plus the kernels underneath them (NTT, fast
-/// base conversion, key-switch inner product, scale-and-round) on the
-/// depth-1 serving parameters, and prints one JSON object, naming the path
-/// (AVX-512 IFMA or scalar) the host ran its transforms, pointwise kernels
-/// and conversions on.
+/// relinearize, rotate, ...), encryption and the read-outs (decrypt, the
+/// noise meter, and both from one pass), plus the kernels underneath them
+/// (NTT, fast base conversion, key-switch inner product, scale-and-round)
+/// on the depth-1 serving parameters, and prints one JSON object, naming
+/// the path (AVX-512 IFMA or scalar) the host ran its transforms,
+/// pointwise kernels and conversions on.
 /// After touching the BFV hot paths, compare its numbers with a run at the
 /// parent commit on the same host; perfbench's per-layer bfv.* and math.*
 /// metrics time the same primitives. quill::LatencyTable's defaults were
@@ -84,6 +85,10 @@ int main(int Argc, char **Argv) {
   double RotUs = medianMicros(Repeats, [&] { Eval.rotateRows(A, 1, Galois); });
   double EncryptUs = medianMicros(Repeats, [&] { Enc.encrypt(Plain); });
   double DecryptUs = medianMicros(Repeats, [&] { Dec.decrypt(A); });
+  double NoiseUs =
+      medianMicros(Repeats, [&] { Dec.invariantNoiseBudget(A); });
+  double DecryptBudgetUs =
+      medianMicros(Repeats, [&] { Dec.decryptWithBudget(A); });
 
   // Kernel-level numbers: one per-prime forward/inverse NTT pass over a
   // full ring element, and one coeff->aux fast base conversion.
@@ -145,6 +150,8 @@ int main(int Argc, char **Argv) {
   std::printf("    \"rotate\": %.1f,\n", RotUs);
   std::printf("    \"encrypt\": %.1f,\n", EncryptUs);
   std::printf("    \"decrypt\": %.1f,\n", DecryptUs);
+  std::printf("    \"noise_budget\": %.1f,\n", NoiseUs);
+  std::printf("    \"decrypt_with_budget\": %.1f,\n", DecryptBudgetUs);
   std::printf("    \"ntt_forward\": %.1f,\n", NttFwdUs);
   std::printf("    \"ntt_inverse\": %.1f,\n", NttInvUs);
   std::printf("    \"base_conv_coeff_to_aux\": %.1f,\n", BaseConvUs);

@@ -31,10 +31,10 @@ public:
 
   Expected<Value> run(const quill::Program &P, const std::vector<Value> &Inputs,
                       const InstrHook &AfterInstr) const override {
-    std::vector<Ciphertext> Cts;
+    std::vector<const Ciphertext *> Cts;
     Cts.reserve(Inputs.size());
     for (const Value &V : Inputs)
-      Cts.push_back(V.get<Ciphertext>());
+      Cts.push_back(&V.get<Ciphertext>());
     BfvExecutor::InstrHook Hook;
     if (AfterInstr)
       Hook = [&](const Ciphertext &Ct) { AfterInstr(Value::wrap(Ct)); };
@@ -47,6 +47,10 @@ public:
 
   double noiseBudget(const Value &V) const override {
     return Exec->noiseBudget(V.get<Ciphertext>());
+  }
+
+  Decrypted decryptWithBudget(const Value &V, size_t Width) const override {
+    return Exec->decryptWithBudget(V.get<Ciphertext>(), Width);
   }
 
   size_t slotCount() const override { return Ctx->slotCount(); }

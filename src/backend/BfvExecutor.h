@@ -15,6 +15,10 @@
 /// multiplies, and decryption all tolerate three components). Galois keys
 /// for exactly the rotations a program needs are generated up front.
 ///
+/// A run reads its inputs in place through a table of pointers and keeps
+/// each value it computes only until its last use, so a program's live set,
+/// not its length, sets the memory a call holds; the output is moved out.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef PORCUPINE_BACKEND_BFVEXECUTOR_H
@@ -50,9 +54,15 @@ public:
   /// Figure 7 style traces decrypt it.
   using InstrHook = std::function<void(const Ciphertext &)>;
 
-  /// Runs \p P over encrypted inputs, returning the encrypted result. Every
-  /// value rotated by a non-identity Galois element is hoisted once and
-  /// shared by all of its rotations; the state is freed after its last.
+  /// Runs \p P over encrypted inputs, read in place, returning the
+  /// encrypted result. Every value rotated by a non-identity Galois element
+  /// is hoisted once and shared by all of its rotations; the state is freed
+  /// after its last. Every computed value is freed after its last use,
+  /// except the output; \p AfterInstr still sees each one, in order.
+  Ciphertext run(const quill::Program &P,
+                 const std::vector<const Ciphertext *> &Inputs,
+                 const InstrHook &AfterInstr = nullptr) const;
+  /// As above, over inputs held by value.
   Ciphertext run(const quill::Program &P,
                  const std::vector<Ciphertext> &Inputs,
                  const InstrHook &AfterInstr = nullptr) const;
@@ -63,6 +73,10 @@ public:
 
   /// Remaining invariant noise budget of a ciphertext, in bits.
   double noiseBudget(const Ciphertext &Ct) const;
+
+  /// decryptOutput() and noiseBudget() from one read-out of \p Ct.
+  backend::Executor::Decrypted decryptWithBudget(const Ciphertext &Ct,
+                                                 size_t Width) const;
 
   const BfvContext &context() const { return Ctx; }
   const Evaluator &evaluator() const { return Eval; }
@@ -86,8 +100,11 @@ private:
   Plaintext encodeConstant(const quill::PlainConstant &C) const;
 
   Ciphertext execInstr(const quill::Instr &I, bool ExplicitRelin,
-                       const std::vector<Ciphertext> &Values,
+                       const std::vector<const Ciphertext *> &Values,
                        const std::vector<Plaintext> &Consts) const;
+
+  /// The first \p Width slots of a decrypted plaintext.
+  std::vector<uint64_t> slotsOf(const Plaintext &Plain, size_t Width) const;
 };
 
 } // namespace porcupine

@@ -22,8 +22,9 @@
 ///     BFV context, a SEALContext): one immutable copy, shared by every
 ///     session built from the same parameters.
 ///   - `Executor` is one instantiated session for a fixed program set:
-///     encrypt/run/decrypt/noiseBudget over opaque `Value` handles, with an
-///     optional hook on every instruction of a run.
+///     encrypt/run/decrypt/noiseBudget over opaque `Value` handles (and
+///     decryptWithBudget, both read-outs in one call), with an optional
+///     hook on every instruction of a run.
 ///
 /// Values are deliberately type-erased (`backend::Value`): a BFV session
 /// hands out real ciphertexts, the dry-run session hands out slot vectors,
@@ -178,6 +179,17 @@ public:
   /// Remaining invariant noise budget in bits; 0 on backends whose
   /// capabilities say Encrypted is false.
   virtual double noiseBudget(const Value &V) const = 0;
+
+  /// decrypt() and noiseBudget() of one value in one call. The default
+  /// makes the two calls; a backend that reads both from one pass over the
+  /// value ("bfv") overrides it.
+  struct Decrypted {
+    std::vector<uint64_t> Slots;
+    double NoiseBudgetBits = 0.0;
+  };
+  virtual Decrypted decryptWithBudget(const Value &V, size_t Width) const {
+    return {decrypt(V, Width), noiseBudget(V)};
+  }
 
   /// Width of one batching row in this session.
   virtual size_t slotCount() const = 0;

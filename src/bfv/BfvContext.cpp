@@ -80,10 +80,9 @@ BfvContext::BfvContext(const BfvParams &Params)
       PlainNtt(N, Params.PlainModulus),
       AuxBasis(makeAuxBasis(N, CoeffBasis)),
       AuxNtt(makeNttTables(N, AuxBasis.primes())),
-      PlainBasis({Params.PlainModulus}), CoeffToAux(CoeffBasis, AuxBasis),
+      CoeffToAux(CoeffBasis, AuxBasis),
       AuxScaleToCoeff(AuxBasis, CoeffBasis, Params.PlainModulus),
-      CoeffToPlain(CoeffBasis, PlainBasis),
-      Width(Params.DecompWidth) {
+      ReadOut(CoeffBasis, Params.PlainModulus), Width(Params.DecompWidth) {
   ContextInstances.fetch_add(1, std::memory_order_relaxed);
   assert((N & (N - 1)) == 0 && N >= 8 && "poly degree must be a power of two");
   if (!isPrime(T) || (T - 1) % (2 * N) != 0)
@@ -129,10 +128,6 @@ BfvContext::BfvContext(const BfvParams &Params)
       RnsGadget.push_back(std::move(Digit));
     }
   }
-
-  for (uint64_t P : CoeffBasis.primes())
-    TModPrimes.push_back(T % P);
-  InvQModT = invMod(CoeffBasis.modulus().modWord(T), T);
 }
 
 unsigned BfvContext::maxSecureCoeffBits(size_t PolyDegree) {

@@ -133,14 +133,9 @@ public:
   /// primes.
   const RnsBaseConverter &coeffToAux() const { return CoeffToAux; }
   const RnsScaleRounder &auxScaleToCoeff() const { return AuxScaleToCoeff; }
-  /// Conversion from the coefficient basis onto the single-prime basis {t},
-  /// used by RNS decryption.
-  const RnsBaseConverter &coeffToPlain() const { return CoeffToPlain; }
-
-  /// t mod q_i for each coefficient prime.
-  const std::vector<uint64_t> &plainModPrimes() const { return TModPrimes; }
-  /// Q^-1 mod t.
-  uint64_t invQModPlain() const { return InvQModT; }
+  /// Decryption's read-out of c(s) over the coefficient basis: the message
+  /// mod t and the noise meter's numerator in one pass.
+  const RnsReadOut &readOut() const { return ReadOut; }
 
   /// Total bits in Q; the budget ceiling for noise.
   unsigned coeffModulusBits() const { return CoeffBasis.modulus().bitLength(); }
@@ -161,10 +156,9 @@ private:
   NttTables PlainNtt;
   CrtBasis AuxBasis;
   std::vector<NttTables> AuxNtt;
-  CrtBasis PlainBasis;
   RnsBaseConverter CoeffToAux;
   RnsScaleRounder AuxScaleToCoeff;
-  RnsBaseConverter CoeffToPlain;
+  RnsReadOut ReadOut;
   BigInt Delta;
   std::vector<uint64_t> DeltaModPrimes;
   std::vector<uint64_t> DeltaModPrimesShoup;
@@ -172,8 +166,6 @@ private:
   unsigned Digits;
   std::vector<std::vector<uint64_t>> DigitScales;
   std::vector<RnsGadgetDigit> RnsGadget;
-  std::vector<uint64_t> TModPrimes;
-  uint64_t InvQModT = 0;
 
   static CrtBasis makeCoeffBasis(const BfvParams &Params);
   static CrtBasis makeAuxBasis(size_t N, const CrtBasis &Coeff);

@@ -8,6 +8,7 @@
 
 #include "math/ModArith.h"
 
+#include <algorithm>
 #include <cassert>
 
 using namespace porcupine;
@@ -35,18 +36,22 @@ RingPoly RingPoly::sampleUniform(const BfvContext &Ctx, Rng &R) {
   return P;
 }
 
-/// Embeds per-coefficient signed smalls (|v| < every q_i) into all residue
-/// vectors: a negative v maps to q_i - |v|, with no division.
+/// Embeds per-coefficient signed smalls, |v| <= \p Bound for every v, into
+/// all residue vectors: a negative v maps to q_i - |v|, with no division.
+/// The bound is checked once against the smallest prime.
 static RingPoly embedSmallSigned(const BfvContext &Ctx,
-                                 const std::vector<int64_t> &Values) {
+                                 const std::vector<int64_t> &Values,
+                                 uint64_t Bound) {
+  const std::vector<uint64_t> &Primes = Ctx.coeffBasis().primes();
+  (void)Bound; // Only read by the assert.
+  assert(Bound < *std::min_element(Primes.begin(), Primes.end()) &&
+         "values are not small for every prime");
   RingPoly P = RingPoly::zero(Ctx);
-  for (size_t I = 0; I < Ctx.coeffBasis().count(); ++I) {
-    uint64_t Q = Ctx.coeffBasis().primes()[I];
+  for (size_t I = 0; I < Primes.size(); ++I) {
+    uint64_t Q = Primes[I];
     auto &Res = P.residues(I);
     for (size_t J = 0; J < Values.size(); ++J) {
       int64_t V = Values[J];
-      assert(V > -static_cast<int64_t>(Q) && V < static_cast<int64_t>(Q) &&
-             "value is not small for this prime");
       Res[J] = V < 0 ? Q - static_cast<uint64_t>(-V) : static_cast<uint64_t>(V);
     }
   }
@@ -57,14 +62,14 @@ RingPoly RingPoly::sampleTernary(const BfvContext &Ctx, Rng &R) {
   std::vector<int64_t> Values(Ctx.polyDegree());
   for (auto &V : Values)
     V = R.ternary();
-  return embedSmallSigned(Ctx, Values);
+  return embedSmallSigned(Ctx, Values, 1);
 }
 
 RingPoly RingPoly::sampleError(const BfvContext &Ctx, Rng &R) {
   std::vector<int64_t> Values(Ctx.polyDegree());
   for (auto &V : Values)
     V = R.centeredError();
-  return embedSmallSigned(Ctx, Values);
+  return embedSmallSigned(Ctx, Values, Rng::MaxCenteredError);
 }
 
 RingPoly RingPoly::fromSignedCoeffs(const BfvContext &Ctx,
@@ -72,7 +77,11 @@ RingPoly RingPoly::fromSignedCoeffs(const BfvContext &Ctx,
   assert(Coeffs.size() <= Ctx.polyDegree() && "too many coefficients");
   std::vector<int64_t> Padded = Coeffs;
   Padded.resize(Ctx.polyDegree(), 0);
-  return embedSmallSigned(Ctx, Padded);
+  uint64_t Bound = 0;
+  for (int64_t V : Padded)
+    Bound = std::max(Bound, V < 0 ? 0 - static_cast<uint64_t>(V)
+                                  : static_cast<uint64_t>(V));
+  return embedSmallSigned(Ctx, Padded, Bound);
 }
 
 std::vector<BigInt> RingPoly::liftCentered(const BfvContext &Ctx) const {
@@ -151,6 +160,17 @@ void RingPoly::mulAssignNtt(const BfvContext &Ctx, const RingPoly &RHS) {
   for (size_t I = 0; I < Residues.size(); ++I)
     Ctx.coeffNtt()[I].mulPointwise(Residues[I].data(), RHS.Residues[I].data(),
                                    Residues[I].data());
+}
+
+RingPoly RingPoly::productNtt(const BfvContext &Ctx, const RingPoly &X,
+                              const RingPoly &Y) {
+  assert(X.Ntt && Y.Ntt && "productNtt requires NTT form");
+  RingPoly Out = zero(Ctx, /*InNttForm=*/true);
+  for (size_t I = 0; I < Out.Residues.size(); ++I)
+    Ctx.coeffNtt()[I].mulPointwise(X.Residues[I].data(),
+                                   Y.Residues[I].data(),
+                                   Out.Residues[I].data());
+  return Out;
 }
 
 void RingPoly::addProductNtt(const BfvContext &Ctx, const RingPoly &X,

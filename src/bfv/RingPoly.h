@@ -110,6 +110,11 @@ public:
   /// form; RHS may alias *this.
   void mulAssignNtt(const BfvContext &Ctx, const RingPoly &RHS);
 
+  /// The pointwise product X * Y of two NTT-form elements, written into a
+  /// new element instead of a copy of one operand.
+  static RingPoly productNtt(const BfvContext &Ctx, const RingPoly &X,
+                             const RingPoly &Y);
+
   /// Pointwise multiply-add in NTT form: *this += X * Y, one pass.
   void addProductNtt(const BfvContext &Ctx, const RingPoly &X,
                      const RingPoly &Y);

@@ -500,10 +500,12 @@ Runtime::execute(const quill::Program &P,
   ExecuteOutcome Out;
   Out.Encrypted = Caps.Encrypted;
   if (Caps.Encrypted) {
-    // A wrapped result's noise is a centred remainder mod Q, so the meter
-    // reads a sliver above 0 bits, never 0: anything under one whole bit
-    // is exhausted.
-    Out.NoiseBudgetBits = noiseBudget(*Ct);
+    // One read-out gives the slots and the budget. A wrapped result's noise
+    // is a centred remainder mod Q, so the meter reads a sliver above 0
+    // bits, never 0: anything under one whole bit is exhausted, and the
+    // slots are discarded.
+    backend::Executor::Decrypted D = Exec->decryptWithBudget(*Ct, Width);
+    Out.NoiseBudgetBits = D.NoiseBudgetBits;
     if (Out.NoiseBudgetBits < NoiseGuardBits)
       return Status::error(
           "execute",
@@ -512,10 +514,11 @@ Runtime::execute(const quill::Program &P,
               std::to_string(quill::programMultiplicativeDepth(P)) +
               " at N=" + std::to_string(polyDegree()) +
               "; the decrypted result would be wrong");
-  }
-  Out.Outputs = decrypt(*Ct, Width);
-  if (Out.Encrypted)
+    Out.Outputs = std::move(D.Slots);
     Out.PolyDegree = polyDegree();
+  } else {
+    Out.Outputs = decrypt(*Ct, Width);
+  }
   Out.ChargedLatencyUs = Exec->chargedLatencyUs() - ChargedBefore;
   return Out;
 }

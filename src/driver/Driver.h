@@ -249,12 +249,12 @@ public:
 
   /// One evaluation of \p P — the execution path every driver entry point
   /// (Compiler::execute, CompiledKernel, Server) shares: encrypts each
-  /// input (at most slotCount() wide, zero-filled to the row), runs,
-  /// meters the noise budget when the backend reports one, and decrypts
-  /// the first \p Width slots (VectorSize, or slotCount() for a packed
-  /// row). A result whose budget fell under one whole bit would decrypt
-  /// to garbage, so it is refused with a stage "execute" error naming the
-  /// multiplicative depth and N.
+  /// input (at most slotCount() wide, zero-filled to the row), runs, and
+  /// decrypts the first \p Width slots (VectorSize, or slotCount() for a
+  /// packed row). On encrypted backends the slots and the noise budget
+  /// come from one Executor::decryptWithBudget call. A result whose budget
+  /// fell under one whole bit would decrypt to garbage, so it is refused
+  /// with a stage "execute" error naming the multiplicative depth and N.
   Expected<ExecuteOutcome>
   execute(const quill::Program &P,
           const std::vector<std::vector<uint64_t>> &Inputs,

@@ -215,18 +215,6 @@ CrtBasis::CrtBasis(std::vector<uint64_t> PrimesIn) : Primes(std::move(PrimesIn))
     PuncturedProducts.push_back(Punctured);
     InvPunctured.push_back(invMod(Punctured.modWord(P), P));
   }
-
-  // A sum of k terms below Q needs bitLength(Q) + bitLength(k) bits.
-  unsigned SumBits = Q.bitLength();
-  for (size_t K = Primes.size(); K != 0; K >>= 1)
-    ++SumBits;
-  Limbs = (SumBits + 63) / 64;
-  assert(Limbs <= BigInt::MaxWords + 1 && "basis too wide for word sums");
-  for (const BigInt &Punct : PuncturedProducts)
-    for (unsigned D = 0; D < Limbs; ++D)
-      PunctLimbs.push_back(Punct.word(D));
-  for (unsigned D = 0; D < Limbs; ++D)
-    QLimbs.push_back(Q.word(D));
 }
 
 std::vector<uint64_t> CrtBasis::decompose(const BigInt &Value) const {
@@ -258,18 +246,19 @@ BigInt CrtBasis::reconstructCentered(
   return X;
 }
 
-/// Word-array comparison A < B over \p L little-endian limbs.
-static bool limbsLess(const uint64_t *A, const uint64_t *B, unsigned L) {
+/// Word-array comparison A < B over L little-endian limbs.
+template <unsigned L>
+static bool limbsLess(const uint64_t *A, const uint64_t *B) {
   for (unsigned D = L; D-- > 0;)
     if (A[D] != B[D])
       return A[D] < B[D];
   return false;
 }
 
-/// Out = A - B over \p L little-endian limbs; requires A >= B. Out may
-/// alias A.
-static void limbsSub(const uint64_t *A, const uint64_t *B, uint64_t *Out,
-                     unsigned L) {
+/// Out = A - B over L little-endian limbs; requires A >= B. Out may alias
+/// A.
+template <unsigned L>
+static void limbsSub(const uint64_t *A, const uint64_t *B, uint64_t *Out) {
   uint64_t Borrow = 0;
   for (unsigned D = 0; D < L; ++D) {
     uint64_t Diff = A[D] - B[D] - Borrow;
@@ -279,23 +268,53 @@ static void limbsSub(const uint64_t *A, const uint64_t *B, uint64_t *Out,
   assert(Borrow == 0 && "limbsSub requires A >= B");
 }
 
-BigInt CrtBasis::maxCenteredMagnitude(
-    const std::vector<std::vector<uint64_t>> &Residues, uint64_t Scale) const {
+RnsReadOut::RnsReadOut(const CrtBasis &Basis, uint64_t T)
+    : Primes(Basis.primes()), TRed(T) {
   size_t K = Primes.size();
-  assert(Residues.size() == K && "residue count mismatch");
-  std::vector<uint64_t> W(K), WShoup(K);
+  const BigInt &Q = Basis.modulus();
+  // The message sum: k products c_i * weight_i below q_i * t, plus alpha.
+  auto Bits = [](uint64_t V) { return 64 - __builtin_clzll(V); };
+  unsigned MaxPrimeBits = 0;
+  for (uint64_t P : Primes)
+    MaxPrimeBits = std::max<unsigned>(MaxPrimeBits, Bits(P));
+  assert(MaxPrimeBits + Bits(T) + Bits(K + 1) <= 128 &&
+         "basis too wide for the 128-bit message sum");
+
+  uint64_t InvQModT = invMod(Q.modWord(T), T);
   for (size_t I = 0; I < K; ++I) {
-    W[I] = mulMod(InvPunctured[I], Scale % Primes[I], Primes[I]);
-    WShoup[I] = shoupPrecompute(W[I], Primes[I]);
+    uint64_t P = Primes[I];
+    W.push_back(mulMod(Basis.invPunctured()[I], T % P, P));
+    WShoup.push_back(shoupPrecompute(W.back(), P));
+    uint64_t PunctModT = Basis.puncturedProducts()[I].modWord(T);
+    MessageWeight.push_back(negMod(mulMod(PunctModT, InvQModT, T), T));
   }
 
-  const unsigned L = Limbs;
+  // A sum of k terms below Q needs bitLength(Q) + bitLength(k) bits.
+  Limbs = (Q.bitLength() + Bits(K) + 63) / 64;
+  QWords = (Q.bitLength() + 63) / 64;
+  assert(Limbs <= MaxLimbs && "basis too wide for the read-out's limbs");
+  for (const BigInt &Punct : Basis.puncturedProducts())
+    for (unsigned D = 0; D < Limbs; ++D)
+      PunctLimbs.push_back(Punct.word(D));
+  for (unsigned D = 0; D < Limbs; ++D)
+    QLimbs.push_back(Q.word(D));
+}
+
+template <unsigned L>
+void RnsReadOut::runLimbs(const std::vector<std::vector<uint64_t>> &Residues,
+                          uint64_t *Message, uint64_t *Max) const {
+  size_t K = Primes.size();
+  size_t N = Residues[0].size();
+  std::vector<const uint64_t *> X(K);
+  for (size_t I = 0; I < K; ++I)
+    X[I] = Residues[I].data();
   const uint64_t *QL = QLimbs.data();
-  std::array<uint64_t, BigInt::MaxWords + 1> Sum{}, Neg{}, Max{};
-  for (size_t J = 0; J < Residues[0].size(); ++J) {
-    std::fill(Sum.begin(), Sum.begin() + L, 0);
+  for (size_t J = 0; J < N; ++J) {
+    uint64_t Sum[L] = {};
+    U128 MessageSum = 0;
     for (size_t I = 0; I < K; ++I) {
-      uint64_t C = mulModShoup(Residues[I][J], W[I], WShoup[I], Primes[I]);
+      uint64_t C = mulModShoup(X[I][J], W[I], WShoup[I], Primes[I]);
+      MessageSum += static_cast<U128>(C) * MessageWeight[I];
       const uint64_t *Punct = &PunctLimbs[I * L];
       uint64_t Carry = 0;
       for (unsigned D = 0; D < L; ++D) {
@@ -307,16 +326,36 @@ BigInt CrtBasis::maxCenteredMagnitude(
       assert(Carry == 0 && "word sum overflow");
     }
     // S < k*Q, so at most k-1 subtractions.
-    while (!limbsLess(Sum.data(), QL, L))
-      limbsSub(Sum.data(), QL, Sum.data(), L);
-    limbsSub(QL, Sum.data(), Neg.data(), L);
-    const uint64_t *Abs = limbsLess(Neg.data(), Sum.data(), L) ? Neg.data()
-                                                                : Sum.data();
-    if (limbsLess(Max.data(), Abs, L))
-      std::copy(Abs, Abs + L, Max.begin());
+    uint64_t Alpha = 0;
+    for (; !limbsLess<L>(Sum, QL); ++Alpha)
+      limbsSub<L>(Sum, QL, Sum);
+    uint64_t Neg[L];
+    limbsSub<L>(QL, Sum, Neg);
+    const uint64_t *Abs = Sum;
+    if (limbsLess<L>(Neg, Sum)) {
+      Abs = Neg;
+      ++Alpha;
+    }
+    if (limbsLess<L>(Max, Abs))
+      std::copy(Abs, Abs + L, Max);
+    if (Message)
+      Message[J] = TRed.reduce(MessageSum + Alpha);
   }
-  // Max < Q/2 fits Q's own limbs, which never exceed BigInt's capacity.
-  return BigInt::fromWords(Max.data(), (Q.bitLength() + 63) / 64);
+}
+
+BigInt RnsReadOut::run(const std::vector<std::vector<uint64_t>> &Residues,
+                       uint64_t *Message) const {
+  assert(Residues.size() == Primes.size() && "residue count mismatch");
+  using Pass = void (RnsReadOut::*)(
+      const std::vector<std::vector<uint64_t>> &, uint64_t *, uint64_t *) const;
+  static constexpr Pass Passes[MaxLimbs] = {
+      &RnsReadOut::runLimbs<1>, &RnsReadOut::runLimbs<2>,
+      &RnsReadOut::runLimbs<3>, &RnsReadOut::runLimbs<4>,
+      &RnsReadOut::runLimbs<5>, &RnsReadOut::runLimbs<6>};
+  std::array<uint64_t, MaxLimbs> Max{};
+  (this->*Passes[Limbs - 1])(Residues, Message, Max.data());
+  // Max < Q/2 fits Q's own limbs.
+  return BigInt::fromWords(Max.data(), QWords);
 }
 
 RnsBaseConverter::RnsBaseConverter(const CrtBasis &From, const CrtBasis &To,
@@ -365,7 +404,6 @@ RnsBaseConverter::RnsBaseConverter(const CrtBasis &From, const CrtBasis &To,
   }
 }
 
-template <bool Exact>
 void RnsBaseConverter::convertScalar(
     const std::vector<std::vector<uint64_t>> &In,
     std::vector<std::vector<uint64_t>> &Out, size_t From) const {
@@ -375,27 +413,13 @@ void RnsBaseConverter::convertScalar(
   std::vector<uint64_t> C(K);
   for (size_t Coeff = From; Coeff < N; ++Coeff) {
     // c_i = [x_i * (Q/q_i)^-1]_{q_i}; x/Q = frac(sum_i c_i / q_i).
-    uint64_t Alpha;
-    if (Exact) {
-      // 64-bit fixed point: floor(c_i * 2^64 / q_i) underestimates each
-      // term by < 1 ulp, so the rounded sum is exact unless the true value
-      // sits within k*2^-64 of a half-integer boundary.
-      unsigned __int128 FracSum = 0;
-      for (size_t I = 0; I < K; ++I) {
-        C[I] = mulModShoup(In[I][Coeff], InvPunct[I], InvPunctShoup[I],
-                           SrcPrimes[I]);
-        FracSum += (static_cast<unsigned __int128>(C[I]) << 64) / SrcPrimes[I];
-      }
-      Alpha = static_cast<uint64_t>((FracSum + (1ull << 63)) >> 64);
-    } else {
-      double V = 0.0;
-      for (size_t I = 0; I < K; ++I) {
-        C[I] = mulModShoup(In[I][Coeff], InvPunct[I], InvPunctShoup[I],
-                           SrcPrimes[I]);
-        V += static_cast<double>(C[I]) * InvSrcPrime[I];
-      }
-      Alpha = static_cast<uint64_t>(V + 0.5);
+    double V = 0.0;
+    for (size_t I = 0; I < K; ++I) {
+      C[I] = mulModShoup(In[I][Coeff], InvPunct[I], InvPunctShoup[I],
+                         SrcPrimes[I]);
+      V += static_cast<double>(C[I]) * InvSrcPrime[I];
     }
+    uint64_t Alpha = static_cast<uint64_t>(V + 0.5);
     assert(Alpha <= K && "alpha outside [0, k]");
 
     for (size_t J = 0; J < TgtPrimes.size(); ++J) {
@@ -424,15 +448,7 @@ void RnsBaseConverter::convert(const std::vector<std::vector<uint64_t>> &In,
                        TgtLane.data(), PunctModTgt, AlphaQLanes.data(),
                        WideSums);
 #endif
-  convertScalar<false>(In, Out, Done);
-}
-
-void RnsBaseConverter::convertExact(
-    const std::vector<std::vector<uint64_t>> &In,
-    std::vector<std::vector<uint64_t>> &Out) const {
-  assert(In.size() == SrcPrimes.size() && "source residue count mismatch");
-  sizeOutput(In, Out, TgtPrimes.size());
-  convertScalar<true>(In, Out, 0);
+  convertScalar(In, Out, Done);
 }
 
 RnsScaleRounder::RnsScaleRounder(const CrtBasis &From, const CrtBasis &To,

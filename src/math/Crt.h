@@ -9,10 +9,11 @@
 /// product of word-sized NTT primes; ring elements live as per-prime residue
 /// vectors. Every per-call step works on those residues directly: fast base
 /// conversion (RnsBaseConverter), the multiply's scale-and-round
-/// (RnsScaleRounder) and the noise meter's word-array composition
-/// (CrtBasis::maxCenteredMagnitude). Wide integers (CrtBasis::reconstruct
-/// and friends) remain only for the wide-integer oracle paths and for the
-/// one-time constants of key and context setup.
+/// (RnsScaleRounder) and decryption's read-out, which yields the message
+/// and the noise meter's numerator in one word-array pass (RnsReadOut).
+/// Wide integers (CrtBasis::reconstruct and friends) remain only for the
+/// wide-integer oracle paths and for the one-time constants of key and
+/// context setup.
 ///
 /// The fast conversion and the scale-and-round run eight coefficients at a
 /// time on AVX-512 IFMA52 lanes (math/Ifma52.h) when every prime of both
@@ -60,18 +61,6 @@ public:
   /// Reconstructs the centered representative in (-Q/2, Q/2].
   BigInt reconstructCentered(const std::vector<uint64_t> &Residues) const;
 
-  /// The largest |r| over the coefficients j of \p Residues (indexed
-  /// [prime][coefficient], as RnsBaseConverter takes them), where r is the
-  /// centered representative of Scale * x_j mod Q: the wide-integer-free
-  /// form of max_j |reconstructCentered(Scale * x_j)|. Each value is
-  /// composed exactly in machine words, S = sum_i c_i * (Q/q_i) with
-  /// c_i = [x_i * Scale * (Q/q_i)^-1]_{q_i} (Scale folded into the Shoup
-  /// constant, so one multiply per residue), reduced by subtracting Q while
-  /// S >= Q, and |r| = min(S, Q - S). Only the maximum becomes a BigInt.
-  BigInt maxCenteredMagnitude(
-      const std::vector<std::vector<uint64_t>> &Residues,
-      uint64_t Scale) const;
-
   /// (Q / q_i) mod q_i inverse table, used by the fast base converter.
   const std::vector<uint64_t> &invPunctured() const { return InvPunctured; }
   /// Q / q_i as wide integers.
@@ -87,12 +76,63 @@ private:
   std::vector<BigInt> PuncturedProducts;
   /// InvPunctured[i] = (Q / q_i)^-1 mod q_i.
   std::vector<uint64_t> InvPunctured;
-  /// Little-endian word arrays for maxCenteredMagnitude, each Limbs words:
-  /// enough for sums of k terms below Q. PunctLimbs holds Q/q_i at offset
-  /// i * Limbs.
+};
+
+/// Decryption's read-out and the noise meter in one pass over the
+/// coefficients of c(s). For a coefficient x over the basis Q = prod q_i
+/// and the plaintext modulus t, write t * x = alpha * Q + r with r centered
+/// in (-Q/2, Q/2] (Q is odd, so no ties). Then r is the invariant noise's
+/// numerator, and the message is round(t * x / Q) mod t = [-r * Q^-1]_t.
+/// Per coefficient, with no division and no wide integer:
+///
+///   c_i = [x_i * t * (Q/q_i)^-1]_{q_i}          (one Shoup product),
+///   S = sum_i c_i * (Q/q_i)                     (word limbs, S < k * Q),
+///
+/// then Q is subtracted while S >= Q, counting the subtractions, and
+/// |r| = min(S, Q - S) with alpha = count + (Q - S < S). Since
+/// r = S - alpha * Q exactly,
+///
+///   m = [alpha + sum_i c_i * [-(Q/q_i) * Q^-1]_t]_t
+///
+/// is one 128-bit sum and one Barrett reduction. alpha is exact, so the
+/// message agrees with the wide-integer decryption on every ciphertext.
+/// The limb count is a template parameter of the pass, fixed per basis:
+/// two limbs for the 100- and 109-bit rungs, three for 175 bits, four for
+/// 218.
+class RnsReadOut {
+public:
+  RnsReadOut(const CrtBasis &Basis, uint64_t T);
+
+  /// Reads out the coefficients of \p Residues (indexed
+  /// [prime][coefficient], values reduced): writes m_j to \p Message[j]
+  /// for every coefficient j when \p Message is not null, and returns
+  /// max_j |r_j|, the noise numerator.
+  BigInt run(const std::vector<std::vector<uint64_t>> &Residues,
+             uint64_t *Message) const;
+
+private:
+  /// The most limbs a pass supports: sums of k terms below Q for every Q
+  /// a BigInt-backed context can hold.
+  static constexpr unsigned MaxLimbs = 6;
+
+  std::vector<uint64_t> Primes;
+  /// W[i] = [t * (Q/q_i)^-1]_{q_i} with its Shoup word.
+  std::vector<uint64_t> W;
+  std::vector<uint64_t> WShoup;
+  /// MessageWeight[i] = [-(Q/q_i) * Q^-1]_t, and the reduction mod t.
+  std::vector<uint64_t> MessageWeight;
+  BarrettReducer TRed;
+  /// Little-endian word arrays of Limbs words each: enough for sums of k
+  /// terms below Q. PunctLimbs holds Q/q_i at offset i * Limbs. QWords is
+  /// Q's own word count, which every |r| < Q/2 fits.
   unsigned Limbs = 0;
+  unsigned QWords = 0;
   std::vector<uint64_t> PunctLimbs;
   std::vector<uint64_t> QLimbs;
+
+  template <unsigned L>
+  void runLimbs(const std::vector<std::vector<uint64_t>> &Residues,
+                uint64_t *Message, uint64_t *Max) const;
 };
 
 /// Fast base conversion between RNS bases (the BEHZ/HPS building block):
@@ -108,8 +148,7 @@ private:
 /// the BFV multiply pipeline, where a +-Q perturbation of a lift changes
 /// the final ciphertext only by scheme noise far below the decryption
 /// threshold (see Evaluator.cpp). Decryption, whose output must be exact,
-/// uses convertExact(): fixed-point accumulation that is correct whenever
-/// the value is more than ~k*2^-64 * Q away from a boundary.
+/// counts alpha exactly instead (RnsReadOut).
 class RnsBaseConverter {
 public:
   /// \p AllowVector false keeps convert() scalar, the oracle its vector
@@ -122,12 +161,6 @@ public:
   /// Out is resized; words it already holds are overwritten, not cleared.
   void convert(const std::vector<std::vector<uint64_t>> &In,
                std::vector<std::vector<uint64_t>> &Out) const;
-
-  /// As convert(), but computes alpha in 64-bit fixed point: exact except
-  /// within ~k ulps of a Q/2 boundary. Costs one 128/64 division per
-  /// (coefficient, source prime); reserved for decryption.
-  void convertExact(const std::vector<std::vector<uint64_t>> &In,
-                    std::vector<std::vector<uint64_t>> &Out) const;
 
   size_t sourceCount() const { return SrcPrimes.size(); }
   size_t targetCount() const { return TgtPrimes.size(); }
@@ -162,7 +195,6 @@ private:
   bool WideSums = false;
 
   /// The scalar conversion of coefficients [From, N).
-  template <bool Exact>
   void convertScalar(const std::vector<std::vector<uint64_t>> &In,
                      std::vector<std::vector<uint64_t>> &Out,
                      size_t From) const;

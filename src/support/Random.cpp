@@ -70,7 +70,13 @@ std::vector<uint64_t> Rng::vectorBelow(uint64_t Bound, size_t Count) {
 }
 
 int64_t Rng::ternary() {
-  return static_cast<int64_t>(below(3)) - 1;
+  // below(3) with its bound a constant: the rejection threshold
+  // (2^64 - 3) mod 3 is 1, and the remainder by 3 compiles to a multiply.
+  for (;;) {
+    uint64_t R = next();
+    if (R >= 1)
+      return static_cast<int64_t>(R % 3) - 1;
+  }
 }
 
 uint64_t porcupine::testSeedBase() {
@@ -103,7 +109,14 @@ int64_t Rng::centeredError() {
   // Sum of 42 fair bits minus 21: binomial approximation of a discrete
   // Gaussian with sigma = sqrt(42)/2 ~= 3.24, matching the HE-standard
   // error parameter sigma = 3.2. The sum is the population count of the
-  // low 42 bits of one draw.
+  // low 42 bits of one draw, counted in SWAR steps: the baseline x86-64
+  // target has no popcnt instruction, and __builtin_popcountll would call
+  // into libgcc.
   uint64_t Bits = next() & ((uint64_t(1) << 42) - 1);
-  return static_cast<int64_t>(__builtin_popcountll(Bits)) - 21;
+  Bits -= (Bits >> 1) & 0x5555555555555555ull;
+  Bits = (Bits & 0x3333333333333333ull) + ((Bits >> 2) & 0x3333333333333333ull);
+  Bits = (Bits + (Bits >> 4)) & 0x0f0f0f0f0f0f0f0full;
+  uint64_t Count = (Bits * 0x0101010101010101ull) >> 56;
+  return static_cast<int64_t>(Count) -
+         static_cast<int64_t>(MaxCenteredError);
 }

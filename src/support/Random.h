@@ -46,8 +46,10 @@ public:
   int64_t ternary();
 
   /// Samples a small centered "Gaussian-like" error via a binomial sum;
-  /// standard deviation roughly 3.2 (the HE-standard sigma).
+  /// standard deviation roughly 3.2 (the HE-standard sigma). Values lie in
+  /// [-MaxCenteredError, MaxCenteredError].
   int64_t centeredError();
+  static constexpr uint64_t MaxCenteredError = 21;
 
 private:
   uint64_t State[4];

@@ -126,6 +126,42 @@ TEST(BackendMatrix, EveryBundledKernelIsByteEqualAcrossBackends) {
   }
 }
 
+TEST(BackendMatrix, OutputsThatOutliveTheRunAgreeAcrossBackends) {
+  // "bfv" frees each value after its last use, but never the output: not
+  // when it is an input, nor when later instructions still read it. Both
+  // programs must decrypt to what the interpreter and "dryrun" give.
+  using quill::Instr;
+  using quill::Opcode;
+  quill::Program OutputIsInput;
+  OutputIsInput.NumInputs = 2;
+  OutputIsInput.VectorSize = 4;
+  OutputIsInput.append(Instr::ctCt(Opcode::AddCtCt, 0, 1));
+  OutputIsInput.Output = 1;
+
+  quill::Program OutputIsReadLater;
+  OutputIsReadLater.NumInputs = 1;
+  OutputIsReadLater.VectorSize = 4;
+  // The square passes one value twice; it is the output, and the add and
+  // the rotation read it after it is defined.
+  int Square = OutputIsReadLater.append(Instr::ctCt(Opcode::MulCtCt, 0, 0));
+  int Sum = OutputIsReadLater.append(Instr::ctCt(Opcode::AddCtCt, Square, 0));
+  OutputIsReadLater.append(Instr::rot(Square, 1));
+  OutputIsReadLater.append(Instr::ctCt(Opcode::MulCtCt, Sum, Sum));
+  OutputIsReadLater.Output = Square;
+
+  size_t Salt = 0;
+  for (const quill::Program *P : {&OutputIsInput, &OutputIsReadLater}) {
+    ASSERT_EQ(P->validate(), "");
+    auto In = inputsFor(*P, ++Salt);
+    const std::vector<uint64_t> Want = quill::interpret(*P, In, 65537);
+    for (const std::string &B : {"bfv", "dryrun"}) {
+      auto Out = Compiler(backendOptions(B)).execute(*P, In);
+      ASSERT_TRUE(Out.hasValue()) << B << ": " << Out.status().toString();
+      EXPECT_EQ(Out->Outputs, Want) << B << ": " << quill::printProgram(*P);
+    }
+  }
+}
+
 TEST(BackendMatrix, EveryRuntimeBuildsTheSelectedParameters) {
   // One parameter decision: the ring a backend's runtime builds is the one
   // Compiler::selectParameters and CompileResult::Params report, for every

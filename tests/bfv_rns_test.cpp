@@ -104,6 +104,46 @@ static size_t residueDiffs(const BfvContext &Ctx, Ciphertext X,
   return Diffs;
 }
 
+/// Ciphertexts (c0, 0), so that c(s) = c0, with every coefficient of c0
+/// at one boundary value x: 0, 1, Q-1 and +-(Q-1)/2, and the x whose
+/// t * x mod Q is +-(Q-1)/2, where the read-out's remainder sits at the
+/// edge of its centered range.
+static std::vector<std::pair<std::string, Ciphertext>>
+boundaryCiphertexts(const BfvContext &Ctx) {
+  const CrtBasis &Basis = Ctx.coeffBasis();
+  const BigInt &Q = Basis.modulus();
+  const BigInt &Half = Basis.halfModulus(); // (Q-1)/2: Q is odd.
+  const uint64_t T = Ctx.plainModulus();
+  // The x in [0, Q) with t * x = R mod Q: (R + k * Q) / t for the k in
+  // [0, t) that makes the division exact.
+  auto TimesTIs = [&](const BigInt &R) {
+    uint64_t K = mulMod(negMod(R.modWord(T), T), invMod(Q.modWord(T), T), T);
+    BigInt X, Rem;
+    (R + Q.mulWord(K)).divMod(BigInt::fromU64(T), X, Rem);
+    return X;
+  };
+  const std::pair<const char *, BigInt> Values[] = {
+      {"c(s)=0", BigInt()},
+      {"c(s)=1", BigInt::fromU64(1)},
+      {"c(s)=Q-1", Q - BigInt::fromU64(1)},
+      {"c(s)=(Q-1)/2", Half},
+      {"c(s)=-(Q-1)/2", Q - Half},
+      {"t*c(s)=(Q-1)/2", TimesTIs(Half)},
+      {"t*c(s)=-(Q-1)/2", TimesTIs(Q - Half)},
+  };
+  std::vector<std::pair<std::string, Ciphertext>> Out;
+  for (const auto &[Name, X] : Values) {
+    RingPoly C0 = RingPoly::zero(Ctx);
+    std::vector<uint64_t> Res = Basis.decompose(X);
+    for (size_t I = 0; I < Basis.count(); ++I)
+      std::fill(C0.residues(I).begin(), C0.residues(I).end(), Res[I]);
+    Ciphertext Ct;
+    Ct.Components = {std::move(C0), RingPoly::zero(Ctx)};
+    Out.emplace_back(Name, std::move(Ct));
+  }
+  return Out;
+}
+
 //===----------------------------------------------------------------------===//
 // Differential: RNS hot path vs BigInt oracle
 //===----------------------------------------------------------------------===//
@@ -163,8 +203,9 @@ TEST_P(ServingRung, NoiseBudgetMatchesBigIntOracle) {
   Zero.Components = {RingPoly::zero(P.Ctx), RingPoly::zero(P.Ctx)};
 
   // The word composition finds the same maximum numerator as the BigInt
-  // lift, and log2Magnitude turns both into the same double.
-  const std::pair<const char *, Ciphertext> Cases[] = {
+  // lift, and log2Magnitude turns both into the same double; the
+  // one-pass read-out returns the oracle's plaintext and budget.
+  std::vector<std::pair<std::string, Ciphertext>> Cases = {
       {"fresh", Fresh},
       {"multiplied", Product},
       {"relinearized", P.EvalRns.relinearize(Product, Rlk)},
@@ -172,10 +213,15 @@ TEST_P(ServingRung, NoiseBudgetMatchesBigIntOracle) {
       {"rotated", Rotated},
       {"zero", Zero},
   };
-  for (const auto &[Name, Ct] : Cases)
-    EXPECT_EQ(P.DecRns.invariantNoiseBudget(Ct),
-              P.DecBig.invariantNoiseBudget(Ct))
-        << Name;
+  for (auto &[Name, Ct] : boundaryCiphertexts(P.Ctx))
+    Cases.emplace_back(std::move(Name), std::move(Ct));
+  for (const auto &[Name, Ct] : Cases) {
+    double Budget = P.DecBig.invariantNoiseBudget(Ct);
+    EXPECT_EQ(P.DecRns.invariantNoiseBudget(Ct), Budget) << Name;
+    Decryption Both = P.DecRns.decryptWithBudget(Ct);
+    EXPECT_EQ(Both.Plain, P.DecBig.decrypt(Ct)) << Name;
+    EXPECT_EQ(Both.NoiseBudget, Budget) << Name;
+  }
   EXPECT_EQ(P.DecRns.invariantNoiseBudget(Zero),
             P.Ctx.coeffModulus().log2Magnitude() - 1.0);
 }
@@ -434,8 +480,13 @@ TEST_F(RnsFixture, DecryptorsAgreeByteForByte) {
       EvalRns.multiplyPlain(A, PV), // leaves the result in NTT form
       EvalRns.multiply(A, B),
   };
-  for (const Ciphertext &Ct : Steps)
-    EXPECT_EQ(DecRns.decrypt(Ct), DecBig.decrypt(Ct));
+  for (const Ciphertext &Ct : Steps) {
+    Plaintext Want = DecBig.decrypt(Ct);
+    EXPECT_EQ(DecRns.decrypt(Ct), Want);
+    Decryption Both = DecRns.decryptWithBudget(Ct);
+    EXPECT_EQ(Both.Plain, Want);
+    EXPECT_EQ(Both.NoiseBudget, DecBig.invariantNoiseBudget(Ct));
+  }
 }
 
 TEST_F(RnsFixture, DotProductShapedChainMatchesBigIntOracle) {
@@ -597,60 +648,29 @@ static std::vector<uint64_t> centeredResidues(const BigInt &X,
   return Out;
 }
 
-TEST(RnsBaseConversion, ExactConversionNearHalfQ) {
-  BfvContext Ctx(rnsParams());
-  const CrtBasis &Coeff = Ctx.coeffBasis();
-  const CrtBasis &Aux = Ctx.auxBasis();
-
-  // convertExact's alpha carries absolute error up to k ulps of 64-bit
-  // fixed point, which scales to a window of ~k * Q / 2^64 (about 2^57
-  // here) around Q/2 where centering may land either way. Values outside
-  // that window must convert exactly; 2^58 clears it with margin while
-  // still sitting close to the boundary relative to the 119-bit range.
-  BigInt Offset = BigInt::fromU64(1ull << 58);
-  std::vector<BigInt> Cases = {
-      BigInt::fromU64(0),
-      BigInt::fromU64(1),
-      Coeff.halfModulus() - Offset,
-      Coeff.halfModulus() + Offset,
-      Coeff.modulus() - BigInt::fromU64(1),
-  };
-  for (const BigInt &X : Cases) {
-    std::vector<std::vector<uint64_t>> In;
-    for (uint64_t R : Coeff.decompose(X))
-      In.push_back({R});
-    std::vector<std::vector<uint64_t>> Out;
-    Ctx.coeffToAux().convertExact(In, Out);
-
-    auto Expected = centeredResidues(X, Coeff, Aux);
-    for (size_t J = 0; J < Aux.count(); ++J)
-      EXPECT_EQ(Out[J][0], Expected[J]) << "prime index " << J;
+/// The BigInt reference for converting \p In (indexed [prime][coefficient])
+/// from \p From onto \p To: the residues of each centered value.
+static std::vector<std::vector<uint64_t>>
+referenceConversion(const std::vector<std::vector<uint64_t>> &In,
+                    const CrtBasis &From, const CrtBasis &To) {
+  std::vector<std::vector<uint64_t>> Out(To.count(),
+                                         std::vector<uint64_t>(In[0].size()));
+  for (size_t C = 0; C < In[0].size(); ++C) {
+    std::vector<uint64_t> Column;
+    for (const auto &Residues : In)
+      Column.push_back(Residues[C]);
+    std::vector<uint64_t> Want =
+        centeredResidues(From.reconstruct(Column), From, To);
+    for (size_t J = 0; J < To.count(); ++J)
+      Out[J][C] = Want[J];
   }
-
-  // Values inside the ambiguity window (including floor(Q/2) itself) may
-  // legitimately land on either side of the boundary: the result is X or
-  // X - Q, nothing else.
-  for (const BigInt &X : {Coeff.halfModulus(),
-                          Coeff.halfModulus() - BigInt::fromU64(1024),
-                          Coeff.halfModulus() + BigInt::fromU64(1024)}) {
-    std::vector<std::vector<uint64_t>> In;
-    for (uint64_t R : Coeff.decompose(X))
-      In.push_back({R});
-    std::vector<std::vector<uint64_t>> Out;
-    Ctx.coeffToAux().convertExact(In, Out);
-    for (size_t J = 0; J < Aux.count(); ++J) {
-      uint64_t P = Aux.primes()[J];
-      uint64_t Lo = X.modWord(P);
-      uint64_t Hi = subMod(Lo, Coeff.modulus().modWord(P), P);
-      EXPECT_TRUE(Out[J][0] == Lo || Out[J][0] == Hi) << "prime index " << J;
-    }
-  }
+  return Out;
 }
 
 TEST(RnsBaseConversion, FastConversionIsExactOrOffByQ) {
   // The double-precision alpha estimate may shift a result by exactly Q
   // when the value sits on a rounding knife edge; anywhere else it matches
-  // the exact conversion. Verify the promise over random values.
+  // the BigInt reference. Verify the promise over random values.
   BfvContext Ctx(rnsParams());
   const CrtBasis &Coeff = Ctx.coeffBasis();
   const CrtBasis &Aux = Ctx.auxBasis();
@@ -663,9 +683,10 @@ TEST(RnsBaseConversion, FastConversionIsExactOrOffByQ) {
   for (uint64_t P : Coeff.primes())
     In.push_back(R.vectorBelow(P, N));
 
-  std::vector<std::vector<uint64_t>> Fast, Exact;
+  std::vector<std::vector<uint64_t>> Fast;
   Ctx.coeffToAux().convert(In, Fast);
-  Ctx.coeffToAux().convertExact(In, Exact);
+  std::vector<std::vector<uint64_t>> Exact =
+      referenceConversion(In, Coeff, Aux);
   for (size_t J = 0; J < Aux.count(); ++J) {
     uint64_t P = Aux.primes()[J];
     uint64_t QModP = Coeff.modulus().modWord(P);
@@ -680,6 +701,7 @@ TEST(RnsBaseConversion, FastConversionIsExactOrOffByQ) {
 TEST(RnsBaseConversion, RoundTripThroughAuxBasisIsIdentity) {
   // coeff -> aux -> coeff must reproduce the original residues exactly:
   // the aux modulus dwarfs Q, so the centered representative is preserved.
+  // The outbound leg is checked against the BigInt reference on the way.
   BfvContext Ctx(rnsParams());
   uint64_t Seed = testSeed(2);
   SeedReporter Report(Seed);
@@ -691,8 +713,9 @@ TEST(RnsBaseConversion, RoundTripThroughAuxBasisIsIdentity) {
     In.push_back(R.vectorBelow(P, N));
 
   std::vector<std::vector<uint64_t>> Mid, Back;
-  Ctx.coeffToAux().convertExact(In, Mid);
-  RnsBaseConverter(Ctx.auxBasis(), Ctx.coeffBasis()).convertExact(Mid, Back);
+  Ctx.coeffToAux().convert(In, Mid);
+  EXPECT_EQ(Mid, referenceConversion(In, Ctx.coeffBasis(), Ctx.auxBasis()));
+  RnsBaseConverter(Ctx.auxBasis(), Ctx.coeffBasis()).convert(Mid, Back);
   EXPECT_EQ(Back, In);
 }
 

@@ -77,13 +77,16 @@ TEST(SynthProperties, FindsMinimalComponentCount) {
 }
 
 TEST(SynthProperties, MinComponentsIsRespected) {
+  // window3's only solutions use 2 adds, and none of 3 to 5 live
+  // components exists. A search that ignored MinComponents would return
+  // the 2-add program; one that respects it exhausts [3, 5] well inside
+  // the timeout and finds nothing.
   SynthesisOptions Opts;
   Opts.MinComponents = 3;
+  Opts.MaxComponents = 5;
   auto Result = synthesize(window3Spec(), window3Sketch(), Opts);
-  // A 3-component solution also exists (e.g. with a redundant-but-live
-  // chain) or not - either way nothing below MinComponents may be used.
-  if (Result.Found)
-    EXPECT_GE(Result.Stats.ComponentsUsed, 3);
+  EXPECT_FALSE(Result.Found);
+  EXPECT_FALSE(Result.Stats.TimedOut);
 }
 
 TEST(SynthProperties, MaxComponentsBoundsFailure) {
